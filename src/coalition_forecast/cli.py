@@ -81,6 +81,8 @@ class GameInput:
             by_size = obj["by_size"]
             if not isinstance(by_size, list) or len(by_size) != m:
                 raise InputError(f"'by_size' must be a list of {m} worths")
+            if any(isinstance(v, bool) for v in by_size):
+                raise InputError("'by_size' worths must be numbers, not booleans")
             try:
                 worth = SymmetricWorth(m=m, by_size=tuple(float(v) for v in by_size))
             except (TypeError, ValueError) as exc:
@@ -135,7 +137,7 @@ def _load_game(path: str, tolerance: float) -> GameInput:
 def _cmd_predict(args: argparse.Namespace) -> int:
     game = _load_game(args.game, args.tolerance)
     bell = build_bell_table(game.m)
-    report = predict(game.worth, bell, tie_tolerance=args.tie_tol)
+    report = predict(game.worth, bell)
     _dump(report.to_dict())
     return EXIT_OK
 
@@ -216,8 +218,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_predict = sub.add_parser("predict", help="min-distance coalition size prediction")
     add_game_options(p_predict)
-    p_predict.add_argument("--tie-tol", type=float, default=1e-9,
-                           help="absolute tolerance for distance ties")
     p_predict.set_defaults(handler=_cmd_predict)
 
     p_planes = sub.add_parser("planes", help="equilibrium hyperplane system")

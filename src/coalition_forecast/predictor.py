@@ -9,7 +9,9 @@ distance) to the actual worth vector.
 
 All coefficients are assembled in exact integer/rational arithmetic and
 converted to float only at the final step, so algebraic identities between
-the residual and matrix paths survive at full precision.
+the residual and matrix paths survive at full precision. The prediction
+itself never builds the matrix: every row is a diagonal term plus one shared
+rank-one term, so its value at the point and its norm are O(m) rationals.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from fractions import Fraction
 from .combinatorics import BellTable, binomial
 from .worth import SymmetricWorth
 
-DEFAULT_TIE_TOLERANCE = 1e-9
-
 
 def _weights(m: int, bell: BellTable) -> list[int]:
     """Occurrence weights of each coalition size across all structures."""
@@ -31,11 +31,9 @@ def _weights(m: int, bell: BellTable) -> list[int]:
     return [binomial(m, j) * bell[m - j] for j in range(1, m + 1)]
 
 
-def _average_worth_exact(worth: SymmetricWorth, bell: BellTable) -> Fraction:
-    m = worth.m
-    weights = _weights(m, bell)
+def _average_worth_exact(worth: SymmetricWorth, weights: list[int], denom: int) -> Fraction:
     total = sum(Fraction(v) * w for v, w in zip(worth.by_size, weights))
-    return total / (m * bell[m])
+    return total / denom
 
 
 def average_worth(worth: SymmetricWorth, bell: BellTable) -> float:
@@ -44,7 +42,8 @@ def average_worth(worth: SymmetricWorth, bell: BellTable) -> float:
     Weighted mean of the v(j) with exact integer weights; the single
     division happens at the end.
     """
-    return float(_average_worth_exact(worth, bell))
+    m = worth.m
+    return float(_average_worth_exact(worth, _weights(m, bell), m * bell[m]))
 
 
 def _exact_rows(m: int, bell: BellTable) -> tuple[tuple[Fraction, ...], ...]:
@@ -96,7 +95,8 @@ def hyperplane_system(m: int, bell: BellTable) -> HyperplaneSystem:
 
 def residuals(worth: SymmetricWorth, bell: BellTable) -> tuple[float, ...]:
     """Per-size deviations v(k)/k - average worth, exact core."""
-    avg = _average_worth_exact(worth, bell)
+    m = worth.m
+    avg = _average_worth_exact(worth, _weights(m, bell), m * bell[m])
     return tuple(
         float(Fraction(v) / k - avg)
         for k, v in enumerate(worth.by_size, start=1)
@@ -133,14 +133,15 @@ class PredictionReport:
     """Outcome of the min-distance prediction for one worth vector.
 
     distances and residuals are indexed by coalition size (k ascending);
-    argmin_set collects the sizes within tie_tolerance of the minimum
+    an entry whose value lies beyond the float range is None, and a note
+    names its sizes. argmin_set collects the sizes at exactly the minimum
     distance; chosen_size is its smallest element.
     """
 
     m: int
     average_worth: float
-    residuals: tuple[float, ...]
-    distances: tuple[float, ...]
+    residuals: tuple[float | None, ...]
+    distances: tuple[float | None, ...]
     argmin_set: frozenset[int]
     chosen_size: int
     degenerate: bool
@@ -159,38 +160,70 @@ class PredictionReport:
         }
 
 
-def predict(point: SymmetricWorth, bell: BellTable,
-            tie_tolerance: float = DEFAULT_TIE_TOLERANCE) -> PredictionReport:
+def _display(value: Fraction) -> float | None:
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
+def _distance(residual: float | None, norm_sq: Fraction) -> float | None:
+    if residual is None:
+        return None
+    d = abs(residual) / math.sqrt(float(norm_sq))
+    return d if math.isfinite(d) else None
+
+
+def predict(point: SymmetricWorth, bell: BellTable) -> PredictionReport:
     """Predict the coalition size a representative outsider joins.
 
     The worth vector is treated as a point in m-space; the predicted size
-    minimizes the normalized distance to the corresponding hyperplane.
-    Ties within tie_tolerance are all reported; the smallest size wins.
+    minimizes the normalized distance |r_k| / n_k to the k-th hyperplane.
+    Row k is e_k/k - w/D with occurrence weights w and D = m B_m, so
+    r_k = v(k)/k - average worth and n_k^2 = 1/k^2 - 2 w_k/(k D) + |w|^2/D^2,
+    both exact. Sizes are compared by r_k^2 / n_k^2 as rationals, so ties
+    are exact and the decision is invariant under positive scaling; every
+    tied size is reported and the smallest wins. Floats are for display only.
     """
-    if tie_tolerance < 0:
-        raise ValueError("tie_tolerance must be non-negative")
-    system = hyperplane_system(point.m, bell)
-    eps = residuals(point, bell)
-    dists = distances(point, system)
-    best = min(dists)
-    argmin = frozenset(k for k, d in enumerate(dists, start=1)
-                       if d <= best + tie_tolerance)
-    chosen = min(argmin)
+    m = point.m
+    weights = _weights(m, bell)
+    denom = m * bell[m]
+    avg = _average_worth_exact(point, weights, denom)
+    exact_residuals = [Fraction(v) / k - avg for k, v in enumerate(point.by_size, start=1)]
+    w_sq = sum(w * w for w in weights)
+    norms_sq = [Fraction(denom * denom - 2 * k * denom * w + k * k * w_sq, (k * denom) ** 2)
+                for k, w in enumerate(weights, start=1)]
+    eps = tuple(_display(r) for r in exact_residuals)
+    degenerate = m == 1
     notes = []
-    if system.degenerate:
+    if degenerate:
+        # the lone row is identically zero: every point lies on the plane
+        dists = (0.0,)
+        argmin = frozenset({1})
         notes.append("degenerate: with one outsider the single equation is vacuous")
-    if point.m % chosen != 0:
+    else:
+        dists = tuple(_distance(r, n2) for r, n2 in zip(eps, norms_sq))
+        ratios = [r * r / n2 for r, n2 in zip(exact_residuals, norms_sq)]
+        best = min(ratios)
+        argmin = frozenset(k for k, q in enumerate(ratios, start=1) if q == best)
+    chosen = min(argmin)
+    if m % chosen != 0:
         notes.append(
-            f"chosen size {chosen} does not divide m={point.m}; no complete "
+            f"chosen size {chosen} does not divide m={m}; no complete "
             f"structure of equal-size coalitions exists"
         )
+    for name, values in (("residuals", eps), ("distances", dists)):
+        beyond = [k for k, x in enumerate(values, start=1) if x is None]
+        if beyond:
+            notes.append(f"{name} for sizes {beyond} lie beyond the float range; "
+                         f"reported as null")
     return PredictionReport(
-        m=point.m,
-        average_worth=average_worth(point, bell),
+        m=m,
+        average_worth=float(avg),
         residuals=eps,
         distances=dists,
         argmin_set=argmin,
         chosen_size=chosen,
-        degenerate=system.degenerate,
+        degenerate=degenerate,
         notes=tuple(notes),
     )

@@ -149,9 +149,12 @@ def characteristic_from_coalitions(m: int, coalitions: Iterable[Mapping]) -> Cha
     for record in coalitions:
         try:
             members = record["members"]
-            value = float(record["worth"])
+            worth = record["worth"]
+            value = float(worth)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"coalition record {record!r} needs 'members' and 'worth'") from exc
+        if isinstance(worth, bool):
+            raise ValueError(f"coalition record {record!r}: 'worth' must be a number, not a boolean")
         mask = members_to_mask(members, m)
         if mask in entries:
             raise ValueError(f"coalition {tuple(sorted(members))} listed twice")

@@ -64,6 +64,35 @@ class TestPredict:
         assert code == 2
         assert "invalid JSON" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize("game, nulls, chosen", [
+        ({"m": 8, "by_size": [1.7e308] + [-1.7e308] * 7},
+         {"residuals": [1], "distances": [1]}, 8),
+        ({"m": 6, "by_size": [1.7e308] + [-1.7e308] * 5},
+         {"residuals": [], "distances": [1, 2]}, 6),
+    ])
+    def test_values_beyond_float_range_are_null(self, capsys, tmp_path, game, nulls, chosen):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(game))
+        code, out, err = run(capsys, "predict", str(path))
+        assert code == 0 and err == ""
+        report = json.loads(out, parse_constant=pytest.fail)
+        for name, sizes in nulls.items():
+            assert [k for k, x in enumerate(report[name], start=1) if x is None] == sizes
+        assert report["chosen_size"] == chosen
+        assert any("beyond the float range" in note for note in report["notes"])
+
+    @pytest.mark.parametrize("game", [
+        {"m": 3, "by_size": [True, False, 1]},
+        {"m": 1, "coalitions": [{"members": [0], "worth": True}]},
+    ])
+    def test_boolean_worths_rejected(self, capsys, tmp_path, game):
+        path = tmp_path / "bools.json"
+        path.write_text(json.dumps(game))
+        code, out, err = run(capsys, "predict", str(path))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert "boolean" in json.loads(err)["message"]
+
     def test_symmetry_violation_exit_code(self, capsys, tmp_path):
         game = {
             "m": 2,

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coalition_forecast.combinatorics import build_bell_table
@@ -170,6 +170,12 @@ class TestPredict:
     def test_divisible_size_has_no_note(self):
         assert predict(SYNERGY, BELL).notes == ()
 
+    def test_tiny_worths_keep_the_unit_scale_decision(self):
+        # (0, 1, 1) scaled down by 1e-9: ties are exact, so no size joins the argmin
+        report = predict(SymmetricWorth(m=3, by_size=(0.0, 1e-9, 1e-9)), BELL)
+        assert report.argmin_set == frozenset({3})
+        assert report.chosen_size == 3
+
     def test_report_serializes(self):
         report = predict(SYNERGY, BELL).to_dict()
         assert report["argmin_set"] == [3]
@@ -209,13 +215,8 @@ def test_distance_consistency(by_size):
 @settings(max_examples=100, deadline=None)
 @given(worth_lists, st.sampled_from([0.5, 3.0, 100.0]))
 def test_argmin_scale_invariance(by_size, lam):
-    # The absolute tie tolerance makes vectors whose distance gaps sit right
-    # at the threshold scale-sensitive; restrict to decisive gaps (ties that
-    # survive any tested scale, or separations that do).
     m = len(by_size)
     base = predict(SymmetricWorth(m=m, by_size=tuple(by_size)), BELL)
-    gaps = [d - min(base.distances) for d in base.distances]
-    assume(all(g <= 1e-12 or g >= 1e-7 for g in gaps))
     scaled = predict(SymmetricWorth(m=m, by_size=tuple(lam * v for v in by_size)), BELL)
     assert scaled.argmin_set == base.argmin_set
     assert scaled.chosen_size == base.chosen_size
@@ -240,3 +241,31 @@ def test_sanity_against_float_matrix_path():
                 [per_capita(worth, k) - tilde for k in range(1, m + 1)],
                 atol=1e-12,
             )
+
+
+def test_predict_matches_matrix_path():
+    """The rank-one predict path equals the m x m matrix path bit for bit."""
+    bell = build_bell_table(96)
+    rng = np.random.default_rng(96)  # recorded seed
+    for m in [*range(1, 31), 96]:
+        system = hyperplane_system(m, bell)
+        sizes = np.arange(1, m + 1)
+        points = [rng.uniform(-1, 1, size=m),
+                  rng.integers(-2, 3, size=m),
+                  rng.integers(1, 4) * sizes]  # v(k)/k constant: every size ties
+        for v in points:
+            point = SymmetricWorth(m=m, by_size=tuple(float(x) for x in v))
+            report = predict(point, bell)
+            assert report.distances == distances(point, system)
+            assert report.residuals == evaluate_planes(point, system)
+            assert report.average_worth == average_worth(point, bell)
+            if system.degenerate:
+                assert report.argmin_set == frozenset({1})
+                continue
+            ratios = []
+            for row in system.exact_rows:
+                value = sum(a * Fraction(p) for a, p in zip(row, point.by_size))
+                ratios.append(value * value / sum(a * a for a in row))
+            best = min(ratios)
+            assert report.argmin_set == frozenset(
+                k for k, q in enumerate(ratios, start=1) if q == best)
