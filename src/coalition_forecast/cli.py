@@ -1,8 +1,8 @@
 """Command-line entry point with JSON input and output.
 
 Exit codes: 0 success, 2 input validation failure, 3 symmetry violation,
-4 enumeration cap exceeded, 5 oracle mismatch. Every error goes to stderr
-as a single-line JSON object {"error": code, "message": text}.
+4 enumeration cap or sample limit exceeded, 5 oracle mismatch. Every error
+goes to stderr as a single-line JSON object {"error": code, "message": text}.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .replicator import (
     DynamicsConfig,
     IntegrationError,
     Mode,
+    TooManySamples,
     initial_frequencies,
     integrate,
     uniform_frequencies,
@@ -34,6 +35,7 @@ from .worth import (
     SymmetryViolation,
     characteristic_from_coalitions,
     reduce_to_symmetric,
+    worth_from_json,
 )
 
 EXIT_OK = 0
@@ -81,11 +83,9 @@ class GameInput:
             by_size = obj["by_size"]
             if not isinstance(by_size, list) or len(by_size) != m:
                 raise InputError(f"'by_size' must be a list of {m} worths")
-            if any(isinstance(v, bool) for v in by_size):
-                raise InputError("'by_size' worths must be numbers, not booleans")
             try:
-                worth = SymmetricWorth(m=m, by_size=tuple(float(v) for v in by_size))
-            except (TypeError, ValueError) as exc:
+                worth = SymmetricWorth(m=m, by_size=tuple(worth_from_json(v) for v in by_size))
+            except ValueError as exc:
                 raise InputError(f"invalid 'by_size': {exc}") from exc
         else:
             coalitions = obj["coalitions"]
@@ -232,10 +232,11 @@ def _build_parser() -> argparse.ArgumentParser:
     add_game_options(p_simulate)
     p_simulate.add_argument("--mode", choices=("paper", "weighted"), default="paper",
                             help="constant-average or frequency-weighted benchmark")
-    p_simulate.add_argument("--step", type=float, default=0.01, help="integration step size")
+    p_simulate.add_argument("--step", type=float, default=0.01,
+                            help="sampling interval of the exact solution")
     p_simulate.add_argument("--horizon", type=float, default=10.0, help="end time")
     p_simulate.add_argument("--record-every", type=int, default=1,
-                            help="record every N-th step")
+                            help="record every N-th sampling step")
     p_simulate.add_argument("--init", choices=("structure", "uniform"), default="structure",
                             help="structure-uniform pushforward or uniform over sizes")
     p_simulate.set_defaults(handler=_cmd_simulate)
@@ -273,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
     except SymmetryViolation as exc:
         _emit_error(EXIT_SYMMETRY, str(exc))
         return EXIT_SYMMETRY
-    except EnumerationTooLarge as exc:
+    except (EnumerationTooLarge, TooManySamples) as exc:
         _emit_error(EXIT_CAP, str(exc))
         return EXIT_CAP
     except (InputError, IntegrationError, ValueError) as exc:

@@ -9,7 +9,9 @@ distance) to the actual worth vector.
 
 All coefficients are assembled in exact integer/rational arithmetic and
 converted to float only at the final step, so algebraic identities between
-the residual and matrix paths survive at full precision. The prediction
+the residual and matrix paths survive at full precision. A value beyond the
+float range is never returned as inf: `predict` reports it as None, and
+the matrix-path functions raise ValueError naming its sizes. The prediction
 itself never builds the matrix: every row is a diagonal term plus one shared
 rank-one term, so its value at the point and its norm are O(m) rationals.
 """
@@ -93,25 +95,38 @@ def hyperplane_system(m: int, bell: BellTable) -> HyperplaneSystem:
     )
 
 
+def _display(value: Fraction) -> float | None:
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
+def _in_float_range(name: str, values: list[float | None]) -> tuple[float, ...]:
+    beyond = [k for k, x in enumerate(values, start=1) if x is None or not math.isfinite(x)]
+    if beyond:
+        raise ValueError(f"{name} for sizes {beyond} lie beyond the float range")
+    return tuple(values)
+
+
 def residuals(worth: SymmetricWorth, bell: BellTable) -> tuple[float, ...]:
     """Per-size deviations v(k)/k - average worth, exact core."""
     m = worth.m
     avg = _average_worth_exact(worth, _weights(m, bell), m * bell[m])
-    return tuple(
-        float(Fraction(v) / k - avg)
+    return _in_float_range("residuals", [
+        _display(Fraction(v) / k - avg)
         for k, v in enumerate(worth.by_size, start=1)
-    )
+    ])
 
 
 def evaluate_planes(point: SymmetricWorth, system: HyperplaneSystem) -> tuple[float, ...]:
     """Signed value of each plane's linear form at the point (row dot product)."""
     if point.m != system.m:
         raise ValueError(f"point has m={point.m} but system has m={system.m}")
-    out = []
-    for row in system.exact_rows:
-        acc = sum(a * Fraction(p) for a, p in zip(row, point.by_size))
-        out.append(float(acc))
-    return tuple(out)
+    return _in_float_range("plane values", [
+        _display(sum(a * Fraction(p) for a, p in zip(row, point.by_size)))
+        for row in system.exact_rows
+    ])
 
 
 def distances(point: SymmetricWorth, system: HyperplaneSystem) -> tuple[float, ...]:
@@ -125,7 +140,7 @@ def distances(point: SymmetricWorth, system: HyperplaneSystem) -> tuple[float, .
             raise ValueError(f"point has m={point.m} but system has m={system.m}")
         return (0.0,)
     values = evaluate_planes(point, system)
-    return tuple(abs(v) / n for v, n in zip(values, system.row_norms))
+    return _in_float_range("distances", [abs(v) / n for v, n in zip(values, system.row_norms)])
 
 
 @dataclass(frozen=True)
@@ -158,13 +173,6 @@ class PredictionReport:
             "degenerate": self.degenerate,
             "notes": list(self.notes),
         }
-
-
-def _display(value: Fraction) -> float | None:
-    try:
-        return float(value)
-    except OverflowError:
-        return None
 
 
 def _distance(residual: float | None, norm_sq: Fraction) -> float | None:

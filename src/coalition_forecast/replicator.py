@@ -1,19 +1,21 @@
 """Replicator dynamics over the m size-grouped coalition choices.
 
-Two notions of the population average are supported. In the constant-
-average mode the benchmark is the structure-uniform average worth, a
-frequency-independent constant, so the simplex is not invariant and the
-raw frequencies are reported with their drift. In the frequency-weighted
-mode the benchmark is the usual mean payoff at the current frequencies
-and the state is renormalized to the simplex after every step.
+The per-capita payoffs do not depend on the frequencies, so the equation
+has an exact solution (Hofbauer & Sigmund, Evolutionary Games and
+Population Dynamics, 1998, §7). Two notions of the population average are
+supported. In the constant-average mode the benchmark is the
+structure-uniform average worth, a frequency-independent constant, so the
+simplex is not invariant and the raw frequencies are reported with their
+drift. In the frequency-weighted mode the benchmark is the usual mean
+payoff at the current frequencies, and the solution stays on the simplex.
 """
 
 from __future__ import annotations
 
 import enum
+import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .combinatorics import BellTable, binomial
 from .predictor import average_worth
@@ -26,11 +28,16 @@ class Mode(enum.Enum):
 
 
 DEFAULT_STEP_SIZE = 0.01
-CLAMP_ABORT_FRACTION = 0.01
+MAX_SAMPLES = 1_000_000
+_FLOAT_MAX = sys.float_info.max
 
 
 class IntegrationError(RuntimeError):
-    """Integration aborted: non-finite state or excessive clamping."""
+    """Integration aborted: non-finite state or a vanished population."""
+
+
+class TooManySamples(ValueError):
+    """A run would record more than MAX_SAMPLES states after t=0."""
 
 
 @dataclass(frozen=True)
@@ -41,12 +48,12 @@ class ReplicatorState:
     frequencies: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError("time must be non-negative")
+        if not 0.0 <= self.time <= _FLOAT_MAX:
+            raise ValueError("time must be finite and non-negative")
         if not self.frequencies:
             raise ValueError("frequencies must be non-empty")
-        if any(x < 0 for x in self.frequencies):
-            raise ValueError("frequencies must be non-negative")
+        if not all(0.0 <= x <= _FLOAT_MAX for x in self.frequencies):
+            raise ValueError("frequencies must be finite and non-negative")
 
     @property
     def m(self) -> int:
@@ -55,16 +62,23 @@ class ReplicatorState:
 
 @dataclass(frozen=True)
 class DynamicsConfig:
+    """Which average to use, and when to sample the solution.
+
+    step_size is the sampling interval: a run records t=0, then
+    t = step * step_size at every record_every-th step and at the last one,
+    round(horizon / step_size).
+    """
+
     mode: Mode = Mode.PAPER_CONSTANT_AVERAGE
     step_size: float = DEFAULT_STEP_SIZE
     horizon: float = 10.0
     record_every: int = 1
 
     def __post_init__(self) -> None:
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-        if self.horizon <= self.step_size:
-            raise ValueError("horizon must exceed step_size")
+        if not 0.0 < self.step_size <= _FLOAT_MAX:
+            raise ValueError("step_size must be positive and finite")
+        if not self.step_size < self.horizon <= _FLOAT_MAX:
+            raise ValueError("horizon must be finite and exceed step_size")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
 
@@ -112,15 +126,11 @@ def uniform_frequencies(m: int) -> ReplicatorState:
     return ReplicatorState(time=0.0, frequencies=(1.0 / m,) * m)
 
 
-def _as_floats(values: np.ndarray) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
-
-
-def _payoff_deviation(x: np.ndarray, payoffs: np.ndarray, mode: Mode,
-                      constant_average: float) -> np.ndarray:
+def _payoff_deviation(x, payoffs, mode: Mode, constant_average: float) -> list[float]:
     if mode is Mode.PAPER_CONSTANT_AVERAGE:
-        return payoffs - constant_average
-    return payoffs - float(np.dot(x, payoffs))
+        return [p - constant_average for p in payoffs]
+    average = math.fsum(a * p for a, p in zip(x, payoffs))
+    return [p - average for p in payoffs]
 
 
 def vector_field(state: ReplicatorState, worth: SymmetricWorth, mode: Mode,
@@ -128,82 +138,64 @@ def vector_field(state: ReplicatorState, worth: SymmetricWorth, mode: Mode,
     """Growth rate dx_k/dt = x_k * (per-capita payoff - average)."""
     if state.m != worth.m:
         raise ValueError(f"state has m={state.m} but worth has m={worth.m}")
-    x = np.asarray(state.frequencies, dtype=float)
-    payoffs = np.asarray(per_capita_vector(worth), dtype=float)
     avg = average_worth(worth, bell) if mode is Mode.PAPER_CONSTANT_AVERAGE else 0.0
-    return tuple(float(g) for g in x * _payoff_deviation(x, payoffs, mode, avg))
+    deviation = _payoff_deviation(state.frequencies, per_capita_vector(worth), mode, avg)
+    return tuple(x * d for x, d in zip(state.frequencies, deviation))
 
 
 def integrate(start: ReplicatorState, worth: SymmetricWorth,
               config: DynamicsConfig, bell: BellTable) -> Trajectory:
-    """Fixed-step 4th-order integration from t=0 to the horizon.
+    """The exact solution at t=0 and at the recorded times.
 
-    Negative frequencies produced by discretization are clamped to zero
-    and counted; clamping on more than 1% of steps aborts (step size too
-    large), as does any non-finite state. In frequency-weighted mode the
-    state is renormalized to the simplex after each step and the largest
-    pre-normalization drift is reported.
+    x_k(t) = x_k(0) exp((p_k - s) t) with s the constant average in paper
+    mode; in weighted mode s is the top payoff of a surviving strategy and
+    x(t) is normalized, the softmax of log x_k(0) + p_k t, whose exponents
+    are never positive. A paper-mode state beyond the float range raises
+    IntegrationError. Extinct strategies stay exactly 0, clamp_events is 0,
+    and max_simplex_drift is the largest |sum(x) - 1| over the states.
     """
     if start.m != worth.m:
         raise ValueError(f"start has m={start.m} but worth has m={worth.m}")
-    payoffs = np.asarray(per_capita_vector(worth), dtype=float)
+    h, every = config.step_size, config.record_every
+    # float against int compares exactly, even where the ratio is too large to
+    # round to an int; the bound holds before any sample is computed
+    if config.horizon / h > MAX_SAMPLES * every:
+        raise TooManySamples(f"horizon {config.horizon:g} at step {h:g}, recording every "
+                             f"{every}, needs more than {MAX_SAMPLES} samples")
+    n_steps = round(config.horizon / h)
+    times = [step * h for step in range(every, n_steps, every)] + [n_steps * h]
+    payoffs = per_capita_vector(worth)
+    x0 = start.frequencies
     weighted = config.mode is Mode.FREQUENCY_WEIGHTED
-    avg = 0.0 if weighted else average_worth(worth, bell)
+    if weighted:
+        alive = [p for x, p in zip(x0, payoffs) if x > 0.0]
+        if not alive:
+            raise IntegrationError("population vanished: every frequency is 0")
+        shift = max(alive)
+    else:
+        shift = average_worth(worth, bell)
+    # rate 0 for an extinct strategy: 0 * exp(0) stays 0 whatever its payoff
+    rates = [p - shift if x > 0.0 else 0.0 for x, p in zip(x0, payoffs)]
 
-    def field(x: np.ndarray) -> np.ndarray:
-        return x * _payoff_deviation(x, payoffs, config.mode, avg)
-
-    h = config.step_size
-    n_steps = max(1, int(round(config.horizon / h)))
-    clamp_budget = CLAMP_ABORT_FRACTION * n_steps
-
-    x = np.asarray(start.frequencies, dtype=float)
-    states = [ReplicatorState(time=0.0, frequencies=_as_floats(x))]
-    clamp_events = 0
-    max_drift = abs(float(x.sum()) - 1.0) if weighted else 0.0
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, n_steps + 1):
-            k1 = field(x)
-            k2 = field(x + 0.5 * h * k1)
-            k3 = field(x + 0.5 * h * k2)
-            k4 = field(x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t = step * h
-
-            if not np.all(np.isfinite(x)):
-                raise IntegrationError(
-                    f"non-finite frequencies at t={t:g} (step {step}): {x.tolist()}"
-                )
-            if np.any(x < 0.0):
-                clamp_events += 1
-                x = np.maximum(x, 0.0)
-                if clamp_events > clamp_budget:
-                    raise IntegrationError(
-                        f"clamped negative frequencies on {clamp_events} of {step} "
-                        f"steps (>{CLAMP_ABORT_FRACTION:.0%}): step size {h:g} too large"
-                    )
+    states = [ReplicatorState(time=0.0, frequencies=x0)]
+    for t in times:
+        try:
+            x = [xk * math.exp(r * t) for xk, r in zip(x0, rates)]
             if weighted:
-                total = float(x.sum())
-                max_drift = max(max_drift, abs(total - 1.0))
-                if total <= 0.0:
-                    raise IntegrationError(
-                        f"population vanished at t={t:g}: frequency sum {total:g}"
-                    )
-                x = x / total
-            else:
-                max_drift = max(max_drift, abs(float(x.sum()) - 1.0))
+                total = sum(x)  # at least the top strategy's x_k(0) > 0
+                x = [xk / total for xk in x]
+            states.append(ReplicatorState(time=t, frequencies=tuple(x)))
+        except (OverflowError, ValueError):  # math.exp, or ReplicatorState on inf
+            raise IntegrationError(f"non-finite frequencies at t={t:g}: the growth "
+                                   f"exp((p_k - v~) t) leaves the float range") from None
 
-            if step % config.record_every == 0 or step == n_steps:
-                states.append(ReplicatorState(time=t, frequencies=_as_floats(x)))
-
-    deviation = _payoff_deviation(x, payoffs, config.mode, avg)
+    terminal = states[-1].frequencies
     return Trajectory(
         config=config,
         states=tuple(states),
-        terminal_residuals=_as_floats(deviation),
-        clamp_events=clamp_events,
-        max_simplex_drift=max_drift,
+        terminal_residuals=tuple(_payoff_deviation(terminal, payoffs, config.mode, shift)),
+        clamp_events=0,
+        max_simplex_drift=max(abs(sum(state.frequencies) - 1.0) for state in states),
     )
 
 
@@ -222,11 +214,10 @@ def rest_point_check(state: ReplicatorState, worth: SymmetricWorth, mode: Mode,
         raise ValueError("tolerance must be positive")
     if state.m != worth.m:
         raise ValueError(f"state has m={state.m} but worth has m={worth.m}")
-    x = np.asarray(state.frequencies, dtype=float)
-    payoffs = np.asarray(per_capita_vector(worth), dtype=float)
+    x = state.frequencies
     avg = average_worth(worth, bell) if mode is Mode.PAPER_CONSTANT_AVERAGE else 0.0
-    deviation = _payoff_deviation(x, payoffs, mode, avg)
-    growth = x * deviation
+    deviation = _payoff_deviation(x, per_capita_vector(worth), mode, avg)
+    growth = [xk * dev for xk, dev in zip(x, deviation)]
 
     statuses = []
     for xk, dev in zip(x, deviation):
@@ -237,8 +228,8 @@ def rest_point_check(state: ReplicatorState, worth: SymmetricWorth, mode: Mode,
         else:
             statuses.append("active")
     return RestPointReport(
-        is_rest_point=bool(np.all(np.abs(growth) <= tolerance)),
+        is_rest_point=all(abs(g) <= tolerance for g in growth),
         statuses=tuple(statuses),
-        growth_rates=tuple(float(g) for g in growth),
-        payoff_deviations=tuple(float(d) for d in deviation),
+        growth_rates=tuple(growth),
+        payoff_deviations=tuple(deviation),
     )

@@ -139,6 +139,17 @@ def expand_to_characteristic(worth: SymmetricWorth) -> CharacteristicFunction:
     return CharacteristicFunction(m=worth.m, entries=entries)
 
 
+def worth_from_json(value) -> float:
+    """A worth read from JSON: a number, never a boolean or numeric text."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        kind = "a boolean" if isinstance(value, bool) else repr(value)
+        raise ValueError(f"a worth must be a number, not {kind}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("a worth lies beyond the float range") from None
+
+
 def characteristic_from_coalitions(m: int, coalitions: Iterable[Mapping]) -> CharacteristicFunction:
     """Build a characteristic function from explicit coalition records.
 
@@ -150,11 +161,12 @@ def characteristic_from_coalitions(m: int, coalitions: Iterable[Mapping]) -> Cha
         try:
             members = record["members"]
             worth = record["worth"]
-            value = float(worth)
+            # a JSON float needs no check; this keeps large coalition files fast
+            value = worth if type(worth) is float else worth_from_json(worth)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"coalition record {record!r} needs 'members' and 'worth'") from exc
-        if isinstance(worth, bool):
-            raise ValueError(f"coalition record {record!r}: 'worth' must be a number, not a boolean")
+        except ValueError as exc:
+            raise ValueError(f"coalition record {record!r}: {exc}") from None
         mask = members_to_mask(members, m)
         if mask in entries:
             raise ValueError(f"coalition {tuple(sorted(members))} listed twice")

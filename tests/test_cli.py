@@ -93,6 +93,26 @@ class TestPredict:
         assert len(err.splitlines()) == 1
         assert "boolean" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize("game", [
+        {"m": 3, "by_size": ["0", "1", "1"]},
+        {"m": 3, "by_size": [0, None, 1]},
+        {"m": 1, "coalitions": [{"members": [0], "worth": "1.5"}]},
+    ])
+    def test_non_number_worths_rejected(self, capsys, tmp_path, game):
+        path = tmp_path / "strings.json"
+        path.write_text(json.dumps(game))
+        code, out, err = run(capsys, "predict", str(path))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert "must be a number" in json.loads(err)["message"]
+
+    def test_integer_worth_beyond_float_range_rejected(self, capsys, tmp_path):
+        path = tmp_path / "bigint.json"
+        path.write_text('{"m": 2, "by_size": [1, 1' + "0" * 400 + "]}")
+        code, out, err = run(capsys, "predict", str(path))
+        assert code == 2 and out == ""
+        assert "beyond the float range" in json.loads(err)["message"]
+
     def test_symmetry_violation_exit_code(self, capsys, tmp_path):
         game = {
             "m": 2,
@@ -191,6 +211,16 @@ class TestSimulate:
         assert code == 0
         first = json.loads(out.splitlines()[0])
         assert first["x"] == pytest.approx([1 / 3] * 3)
+
+    @pytest.mark.parametrize("step, horizon", [("1e-300", "1e300"), ("1e-9", "1")])
+    def test_sample_limit_exits_4(self, capsys, game_file, step, horizon):
+        code, out, err = run(capsys, "simulate", game_file, "--step", step,
+                             "--horizon", horizon)
+        assert code == 4 and out == ""
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == 4
+        assert "1000000 samples" in payload["message"]
 
     def test_bad_step_rejected(self, capsys, game_file):
         code, _, err = run(capsys, "simulate", game_file, "--step", "5",

@@ -1,6 +1,7 @@
 """Average worth, hyperplane system, and the min-distance prediction rule."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -131,6 +132,18 @@ class TestDistances:
         system = hyperplane_system(3, BELL)
         with pytest.raises(ValueError):
             distances(SymmetricWorth(m=2, by_size=(1.0, 1.0)), system)
+
+    @pytest.mark.parametrize("m, function, name, sizes", [
+        (6, distances, "distances", [1, 2]),
+        (8, distances, "plane values", [1]),
+        (8, evaluate_planes, "plane values", [1]),
+        (8, residuals, "residuals", [1]),
+    ])
+    def test_matrix_path_rejects_values_beyond_float_range(self, m, function, name, sizes):
+        worth = SymmetricWorth(m=m, by_size=(1.7e308,) + (-1.7e308,) * (m - 1))
+        second = BELL if function is residuals else hyperplane_system(m, BELL)
+        with pytest.raises(ValueError, match=re.escape(f"{name} for sizes {sizes} lie beyond")):
+            function(worth, second)
 
 
 class TestPredict:

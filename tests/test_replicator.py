@@ -1,14 +1,18 @@
 """Replicator dynamics: initial conditions, vector field, integration, rest points."""
 
+import math
+
 import numpy as np
 import pytest
 
 from coalition_forecast.combinatorics import build_bell_table
+from coalition_forecast.predictor import average_worth
 from coalition_forecast.replicator import (
     DynamicsConfig,
     IntegrationError,
     Mode,
     ReplicatorState,
+    TooManySamples,
     initial_frequencies,
     integrate,
     rest_point_check,
@@ -18,6 +22,7 @@ from coalition_forecast.replicator import (
 from coalition_forecast.worth import SymmetricWorth
 
 BELL = build_bell_table(6)
+BELL_8 = build_bell_table(8)
 SYNERGY = SymmetricWorth(m=3, by_size=(0.0, 1.0, 1.0))
 # v(k) = 2k: every coalition size pays the same per head
 FLAT = SymmetricWorth(m=3, by_size=(2.0, 4.0, 6.0))
@@ -155,12 +160,62 @@ class TestIntegrate:
         assert trajectory.terminal_residuals == pytest.approx((-4 / 15, 7 / 30, 1 / 15),
                                                               rel=1e-12)
 
-    def test_excessive_clamping_aborts(self):
+    def test_coarse_step_is_exact_without_clamping(self):
+        # a fixed-step integrator overshoots below 0 here (h * rate = 50)
         worth = SymmetricWorth(m=2, by_size=(0.0, 200.0))
         start = ReplicatorState(time=0.0, frequencies=(0.5, 0.5))
         config = DynamicsConfig(mode=Mode.FREQUENCY_WEIGHTED, step_size=0.5, horizon=5.0)
-        with pytest.raises(IntegrationError, match="step size"):
-            integrate(start, worth, config, build_bell_table(2))
+        trajectory = integrate(start, worth, config, build_bell_table(2))
+        tail = math.exp(-500.0)
+        assert trajectory.terminal.time == 5.0
+        assert trajectory.terminal.frequencies == pytest.approx(
+            (tail / (1.0 + tail), 1.0 / (1.0 + tail)), rel=1e-12)
+        assert trajectory.clamp_events == 0
+
+    def test_extinct_strategies_stay_exactly_zero_at_any_payoff(self):
+        # the extinct size-2 choice has the largest payoff, whose growth overflows
+        worth = SymmetricWorth(m=3, by_size=(0.0, 1.7e308, 1.0))
+        start = ReplicatorState(time=0.0, frequencies=(0.5, 0.0, 0.5))
+        for mode in Mode:
+            config = DynamicsConfig(mode=mode, step_size=0.01, horizon=20.0, record_every=10)
+            trajectory = integrate(start, worth, config, BELL)
+            assert all(state.frequencies[1] == 0.0 for state in trajectory.states)
+
+    def test_sample_does_not_depend_on_step_size(self):
+        start = initial_frequencies(3, BELL)
+        for mode in Mode:
+            samples = set()
+            for h, every in ((0.5, 6), (0.25, 12), (0.01, 300), (0.001, 3000)):
+                config = DynamicsConfig(mode=mode, step_size=h, horizon=6.0, record_every=every)
+                states = integrate(start, SYNERGY, config, BELL).states
+                assert [state.time for state in states] == [0.0, 3.0, 6.0]
+                samples.add(tuple(state.frequencies for state in states))
+            assert len(samples) == 1
+
+    def test_extreme_worths(self):
+        worth = SymmetricWorth(m=6, by_size=(1.7e308,) + (-1.7e308,) * 5)
+        bell = build_bell_table(6)
+        for start in (initial_frequencies(6, bell), uniform_frequencies(6)):
+            weighted = DynamicsConfig(mode=Mode.FREQUENCY_WEIGHTED, horizon=20.0)
+            trajectory = integrate(start, worth, weighted, bell)
+            for state in trajectory.states:
+                assert all(math.isfinite(x) for x in state.frequencies)
+                assert abs(sum(state.frequencies) - 1.0) <= 1e-12
+            assert trajectory.terminal.frequencies == (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+            paper = DynamicsConfig(mode=Mode.PAPER_CONSTANT_AVERAGE, horizon=20.0)
+            with pytest.raises(IntegrationError, match="non-finite"):
+                integrate(start, worth, paper, bell)
+
+    @pytest.mark.parametrize("step, horizon, every", [
+        (1e-300, 1e300, 1),          # the ratio is inf: it cannot even be rounded
+        (1e-300, 1e300, 10 ** 400),  # so is the ratio against any cadence
+        (1e-9, 1.0, 999),            # about 1.001e6 samples
+    ], ids=["inf-ratio", "inf-ratio-huge-cadence", "just-over"])
+    def test_sample_count_is_bounded_before_any_work(self, step, horizon, every):
+        start = initial_frequencies(3, BELL)
+        config = DynamicsConfig(step_size=step, horizon=horizon, record_every=every)
+        with pytest.raises(TooManySamples, match="1000000 samples"):
+            integrate(start, SYNERGY, config, BELL)
 
     def test_nonfinite_state_aborts(self):
         worth = SymmetricWorth(m=2, by_size=(0.0, 1e308))
@@ -168,6 +223,44 @@ class TestIntegrate:
         config = DynamicsConfig(mode=Mode.PAPER_CONSTANT_AVERAGE, step_size=0.01, horizon=1.0)
         with pytest.raises(IntegrationError, match="non-finite"):
             integrate(start, worth, config, build_bell_table(2))
+
+
+def _rk4(x, payoffs, constant_average, weighted, h, n_steps):
+    """Classical fixed-step RK4 on the replicator equation, as a reference."""
+    def field(y):
+        avg = math.fsum(a * p for a, p in zip(y, payoffs)) if weighted else constant_average
+        return [a * (p - avg) for a, p in zip(y, payoffs)]
+
+    for _ in range(n_steps):
+        k1 = field(x)
+        k2 = field([a + 0.5 * h * b for a, b in zip(x, k1)])
+        k3 = field([a + 0.5 * h * b for a, b in zip(x, k2)])
+        k4 = field([a + h * b for a, b in zip(x, k3)])
+        x = [a + h / 6.0 * (b + 2.0 * c + 2.0 * d + e)
+             for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
+    return x
+
+
+class TestAgainstRK4:
+    @pytest.mark.parametrize("worth", [
+        SYNERGY,
+        SymmetricWorth(m=8, by_size=(0.3, -0.5, 0.9, 0.2, -0.7, 0.4, 0.1, 0.8)),
+    ], ids=["m3", "m8"])
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda mode: mode.name)
+    @pytest.mark.parametrize("init", ["structure", "uniform"])
+    def test_exact_solution_matches_rk4(self, worth, mode, init):
+        h, every = 0.01, 100
+        m = worth.m
+        start = initial_frequencies(m, BELL_8) if init == "structure" else uniform_frequencies(m)
+        config = DynamicsConfig(mode=mode, step_size=h, horizon=10.0, record_every=every)
+        states = integrate(start, worth, config, BELL_8).states
+        assert len(states) == 11
+        x = list(start.frequencies)
+        payoffs = [v / k for k, v in enumerate(worth.by_size, start=1)]
+        avg = average_worth(worth, BELL_8)
+        for state in states[1:]:
+            x = _rk4(x, payoffs, avg, mode is Mode.FREQUENCY_WEIGHTED, h, every)
+            assert state.frequencies == pytest.approx(x, rel=1e-9, abs=0.0)
 
 
 class TestConfigValidation:
@@ -186,6 +279,23 @@ class TestConfigValidation:
     def test_state_rejects_negative_frequency(self):
         with pytest.raises(ValueError):
             ReplicatorState(time=0.0, frequencies=(0.5, -0.1))
+
+    @pytest.mark.parametrize("time, frequencies", [
+        (0.0, (math.nan, 0.5)),
+        (0.0, (0.5, math.inf)),
+        (math.nan, (0.5, 0.5)),
+        (math.inf, (0.5, 0.5)),
+    ])
+    def test_state_rejects_non_finite_values(self, time, frequencies):
+        with pytest.raises(ValueError, match="finite"):
+            ReplicatorState(time=time, frequencies=frequencies)
+
+    @pytest.mark.parametrize("step, horizon", [
+        (math.nan, 1.0), (math.inf, 1.0), (0.01, math.nan), (0.01, math.inf),
+    ])
+    def test_config_rejects_non_finite_times(self, step, horizon):
+        with pytest.raises(ValueError, match="finite"):
+            DynamicsConfig(step_size=step, horizon=horizon)
 
 
 class TestRestPointCheck:
