@@ -122,26 +122,51 @@ class SetPartition:
         return tuple(sizes)
 
 
-def _iter_rgs(m: int) -> Iterator[list[int]]:
-    """All restricted-growth strings of length m, lexicographically.
+def _rgs_prefixes(m: int) -> Iterator[tuple[list[int], list[int], list[int], int]]:
+    """Every partition of {0,..,m-1}, one prefix at a time (Knuth's Algorithm H).
 
-    Yields the same working list each time; callers must copy if they keep
-    a reference past the current iteration.
+    Visits the B_{m-1} restricted-growth prefixes of elements 0..m-2 in
+    lexicographic order and yields (labels, sizes, masks, nb) for each:
+    labels[i] is element i's block, sizes[b] and masks[b] are the size and
+    bitmask of block b (zero past the nb blocks in use). Only the trailing
+    labels change between prefixes, and sizes and masks follow them, so a
+    step costs amortised O(1). The partitions of {0,..,m-1} extending a
+    prefix are its nb + 1 completions, in lexicographic order: element m-1
+    joins block j for j = 0..nb-1, or starts block nb. The same three lists
+    are yielded every time; callers must copy what they keep.
     """
-    a = [0] * m
-    b = [0] * m  # b[i] = max(a[:i]) for i >= 1
+    n = m - 1
+    labels = [0] * n
+    tops = [0] * n  # tops[i] = max(labels[:i]) for i >= 1
+    sizes = [0] * m
+    masks = [0] * m
+    sizes[0] = n
+    masks[0] = (1 << n) - 1
+    nb = 1 if n else 0
     while True:
-        yield a
-        i = m - 1
-        while i > 0 and a[i] == b[i] + 1:
+        yield labels, sizes, masks, nb
+        i = n - 1
+        while i > 0 and labels[i] == tops[i] + 1:
             i -= 1
-        if i == 0:
+        if i <= 0:
             return
-        a[i] += 1
-        top = b[i] if b[i] >= a[i] else a[i]
-        for j in range(i + 1, m):
-            a[j] = 0
-            b[j] = top
+        lab = labels[i]
+        labels[i] = lab + 1
+        sizes[lab] -= 1
+        sizes[lab + 1] += 1
+        masks[lab] ^= 1 << i
+        masks[lab + 1] |= 1 << i
+        top = tops[i] if tops[i] > lab else lab + 1
+        for j in range(i + 1, n):
+            lab = labels[j]
+            if lab:
+                labels[j] = 0
+                sizes[lab] -= 1
+                sizes[0] += 1
+                masks[lab] ^= 1 << j
+                masks[0] |= 1 << j
+            tops[j] = top
+        nb = top + 1
 
 
 def _check_cap(m: int, cap: int | None) -> None:
@@ -167,8 +192,10 @@ def enumerate_partitions(m: int, cap: int | None = None) -> Iterator[SetPartitio
     _check_cap(m, cap)
 
     def generate() -> Iterator[SetPartition]:
-        for labels in _iter_rgs(m):
-            yield SetPartition(m=m, labels=tuple(labels))
+        for labels, _, _, nb in _rgs_prefixes(m):
+            prefix = tuple(labels)
+            for last in range(nb + 1):
+                yield SetPartition(m=m, labels=prefix + (last,))
 
     return generate()
 

@@ -8,84 +8,45 @@ prediction.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .combinatorics import (
-    BellTable,
     PartitionStats,
     SetPartition,
     _check_cap,
-    _iter_rgs,
+    _rgs_prefixes,
     build_bell_table,
     partition_stats,
 )
 from .predictor import average_worth, predict
-from .worth import CharacteristicFunction, SymmetricWorth, SymmetryViolation, reduce_to_symmetric
+from .worth import (
+    CharacteristicFunction,
+    SymmetricWorth,
+    SymmetryViolation,
+    dyadic,
+    reduce_to_symmetric,
+)
 
 
-@lru_cache(maxsize=None)
-def _size_profiles(m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Distinct block-size histograms over all partitions, with counts.
+def _scan_stats(m: int) -> PartitionStats:
+    """Block-size and fixed-agent counts, one enumerated partition at a time.
 
-    profile[k-1] = number of size-(k) blocks in the structure. The counts
-    come from a full enumeration scan; structures sharing a histogram
-    contribute identical per-structure sums, so grouping them is an exact
-    regrouping of the enumeration, not a formula shortcut.
+    A prefix with block sizes s_0..s_{nb-1} has nb + 1 completions: the one
+    where the last element joins block j has s_j + 1 in place of s_j, and
+    the last one adds a singleton. So every s_j appears in nb of them and
+    s_j + 1 in one. Element 0 always sits in block 0.
     """
-    counts: dict[tuple[int, ...], int] = {}
-    for labels in _iter_rgs(m):
-        sizes = [0] * m
-        for lab in labels:
-            sizes[lab] += 1
-        profile = [0] * m
-        for sz in sizes:
-            if sz == 0:
-                break
-            profile[sz - 1] += 1
-        key = tuple(profile)
-        counts[key] = counts.get(key, 0) + 1
-    return tuple(sorted(counts.items()))
-
-
-def brute_force_average(worth: SymmetricWorth, cap: int | None = None) -> float:
-    """Mean per-agent worth over every enumerated coalition structure.
-
-    Each structure contributes the sum of its block worths divided by m;
-    the accumulation is exact rational so the result is the correctly
-    rounded float of the true mean.
-    """
-    m = worth.m
-    _check_cap(m, cap)
-    values = [Fraction(v) for v in worth.by_size]
-    total = Fraction(0)
-    structures = 0
-    for profile, count in _size_profiles(m):
-        structure_sum = sum(n_blocks * values[k] for k, n_blocks in enumerate(profile) if n_blocks)
-        total += count * structure_sum
-        structures += count
-    return float(total / (m * structures))
-
-
-def brute_force_multiplicities(m: int, cap: int | None = None) -> PartitionStats:
-    """Block-size and fixed-agent counts recomputed by raw enumeration."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    _check_cap(m, cap)
     multiplicity = [0] * (m + 1)
     choice_counts = [0] * (m + 1)
-    for labels in _iter_rgs(m):
-        sizes = [0] * m
-        for lab in labels:
-            sizes[lab] += 1
-        for sz in sizes:
-            if sz == 0:
-                break
-            multiplicity[sz] += 1
-        choice_counts[sizes[0]] += 1  # element 0 always sits in block 0
+    for _, sizes, _, nb in _rgs_prefixes(m):
+        for size in sizes[:nb]:
+            multiplicity[size] += nb
+            multiplicity[size + 1] += 1
+        multiplicity[1] += 1
+        choice_counts[sizes[0]] += nb
+        choice_counts[sizes[0] + 1] += 1
     return PartitionStats(
         m=m,
         multiplicity=tuple(multiplicity[1:]),
@@ -93,38 +54,68 @@ def brute_force_multiplicities(m: int, cap: int | None = None) -> PartitionStats
     )
 
 
+_cached_stats = lru_cache(maxsize=None)(_scan_stats)
+
+
+def brute_force_average(worth: SymmetricWorth, cap: int | None = None) -> float:
+    """Mean per-agent worth over every enumerated coalition structure.
+
+    Each structure contributes the sum of its block worths divided by m.
+    Summed over all structures, that is sum_k mult_k v(k) / (m * count),
+    with the enumerated block-size multiplicities and structure count of a
+    per-m cached scan. The sum is exact, so the result is the correctly
+    rounded float of the true mean.
+    """
+    m = worth.m
+    _check_cap(m, cap)
+    stats = _cached_stats(m)
+    numerators, den = dyadic(worth.by_size)
+    total = sum(n * mult for n, mult in zip(numerators, stats.multiplicity))
+    return total / (den * m * sum(stats.choice_counts))  # int / int rounds correctly
+
+
+def brute_force_multiplicities(m: int, cap: int | None = None) -> PartitionStats:
+    """Block-size and fixed-agent counts recomputed by raw enumeration."""
+    if m < 1:
+        raise ValueError("m must be positive")
+    _check_cap(m, cap)
+    return _scan_stats(m)
+
+
 @dataclass(frozen=True)
 class OptimalStructureResult:
     """Best coalition structure found by exhaustive scan."""
 
     partition: SetPartition
-    total_worth: float
+    total_worth: float | None  # None when the exact total lies beyond the float range
     predicted_size: int | None  # distance prediction, when the game is symmetric
 
 
 def optimal_structure(cf: CharacteristicFunction, cap: int | None = None) -> OptimalStructureResult:
     """Exhaustive search for the structure maximizing total block worth.
 
-    Ties break to the first maximizer in enumeration order. Symmetry is
-    not required for the scan; when the game is symmetric the distance
-    prediction is attached for side-by-side comparison.
+    Totals are summed exactly, as integers over one power-of-two
+    denominator, so ties are exact and break to the first maximizer in
+    enumeration order; total_worth is the correctly rounded float of the
+    best total. Symmetry is not required for the scan; when the game is
+    symmetric the distance prediction is attached for side-by-side
+    comparison.
     """
     m = cf.m
     _check_cap(m, cap)
-    best_labels: tuple[int, ...] | None = None
-    best_total = -float("inf")
-    for labels in _iter_rgs(m):
-        masks = [0] * m
-        n_blocks = 0
-        for elem, lab in enumerate(labels):
-            masks[lab] |= 1 << elem
-            if lab >= n_blocks:
-                n_blocks = lab + 1
-        total = sum(cf.entries[masks[b]] for b in range(n_blocks))
-        if total > best_total:
-            best_total = total
-            best_labels = tuple(labels)
-    assert best_labels is not None
+    numerators, den = dyadic(cf.entries[mask] for mask in range(1, 1 << m))
+    worth = [0] + numerators  # worth[mask] * den, exact; the empty block is worth 0
+    last = 1 << (m - 1)
+    alone = worth[last]
+    best_total = -sum(map(abs, numerators)) - 1  # below every structure's total
+    for labels, _, masks, nb in _rgs_prefixes(m):
+        total = sum([worth[mask] for mask in masks])
+        for j, mask in enumerate(masks[:nb]):
+            joined = total - worth[mask] + worth[mask | last]
+            if joined > best_total:
+                best_total, best_labels = joined, (*labels, j)
+        if total + alone > best_total:
+            best_total, best_labels = total + alone, (*labels, nb)
 
     try:
         symmetric = reduce_to_symmetric(cf)
@@ -132,9 +123,13 @@ def optimal_structure(cf: CharacteristicFunction, cap: int | None = None) -> Opt
         predicted = predict(symmetric, bell).chosen_size
     except SymmetryViolation:
         predicted = None
+    try:
+        total_worth = best_total / den  # int / int rounds correctly
+    except OverflowError:
+        total_worth = None
     return OptimalStructureResult(
         partition=SetPartition(m=m, labels=best_labels),
-        total_worth=best_total,
+        total_worth=total_worth,
         predicted_size=predicted,
     )
 
@@ -197,10 +192,10 @@ def oracle_suite(m: int, trials: int = 1000, seed: int = 0,
     closed = partition_stats(m, bell)
     n_partitions = sum(enumerated.choice_counts)
 
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst = 0.0
-    for row in rng.uniform(-1.0, 1.0, size=(trials, m)):
-        w = SymmetricWorth(m=m, by_size=tuple(float(v) for v in row))
+    for _ in range(trials):
+        w = SymmetricWorth(m=m, by_size=tuple(rng.uniform(-1.0, 1.0) for _ in range(m)))
         gap = _relative_gap(brute_force_average(w, cap=cap), average_worth(w, bell))
         worst = max(worst, gap)
 

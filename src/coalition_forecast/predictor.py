@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorics import BellTable, binomial
-from .worth import SymmetricWorth
+from .worth import SymmetricWorth, dyadic
 
 
 def _weights(m: int, bell: BellTable) -> list[int]:
@@ -34,8 +34,8 @@ def _weights(m: int, bell: BellTable) -> list[int]:
 
 
 def _average_worth_exact(worth: SymmetricWorth, weights: list[int], denom: int) -> Fraction:
-    total = sum(Fraction(v) * w for v, w in zip(worth.by_size, weights))
-    return total / denom
+    numerators, den = dyadic(worth.by_size)
+    return Fraction(sum(n * w for n, w in zip(numerators, weights)), den * denom)
 
 
 def average_worth(worth: SymmetricWorth, bell: BellTable) -> float:

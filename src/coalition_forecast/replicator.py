@@ -87,7 +87,7 @@ class DynamicsConfig:
 class Trajectory:
     config: DynamicsConfig
     states: tuple[ReplicatorState, ...]
-    terminal_residuals: tuple[float, ...]
+    terminal_residuals: tuple[float | None, ...]  # None: beyond the float range
     clamp_events: int
     max_simplex_drift: float
 
@@ -126,21 +126,36 @@ def uniform_frequencies(m: int) -> ReplicatorState:
     return ReplicatorState(time=0.0, frequencies=(1.0 / m,) * m)
 
 
-def _payoff_deviation(x, payoffs, mode: Mode, constant_average: float) -> list[float]:
+def _in_range(value: float) -> float | None:
+    return value if -_FLOAT_MAX <= value <= _FLOAT_MAX else None
+
+
+def _payoff_deviation(x, payoffs, mode: Mode, constant_average: float) -> list[float | None]:
+    """p_k minus the average, None where that lies beyond the float range."""
     if mode is Mode.PAPER_CONSTANT_AVERAGE:
-        return [p - constant_average for p in payoffs]
-    average = math.fsum(a * p for a, p in zip(x, payoffs))
-    return [p - average for p in payoffs]
+        average = constant_average
+    else:
+        average = math.fsum(a * p for a, p in zip(x, payoffs))
+    return [_in_range(p - average) for p in payoffs]
+
+
+def _growth(x, deviation) -> list[float | None]:
+    # an extinct strategy does not grow, whatever its deviation
+    return [0.0 if xk == 0.0 else None if dev is None else _in_range(xk * dev)
+            for xk, dev in zip(x, deviation)]
 
 
 def vector_field(state: ReplicatorState, worth: SymmetricWorth, mode: Mode,
-                 bell: BellTable) -> tuple[float, ...]:
-    """Growth rate dx_k/dt = x_k * (per-capita payoff - average)."""
+                 bell: BellTable) -> tuple[float | None, ...]:
+    """Growth rate dx_k/dt = x_k * (per-capita payoff - average).
+
+    A rate beyond the float range is None; an extinct strategy's rate is 0.0.
+    """
     if state.m != worth.m:
         raise ValueError(f"state has m={state.m} but worth has m={worth.m}")
     avg = average_worth(worth, bell) if mode is Mode.PAPER_CONSTANT_AVERAGE else 0.0
     deviation = _payoff_deviation(state.frequencies, per_capita_vector(worth), mode, avg)
-    return tuple(x * d for x, d in zip(state.frequencies, deviation))
+    return tuple(_growth(state.frequencies, deviation))
 
 
 def integrate(start: ReplicatorState, worth: SymmetricWorth,
@@ -152,7 +167,8 @@ def integrate(start: ReplicatorState, worth: SymmetricWorth,
     x(t) is normalized, the softmax of log x_k(0) + p_k t, whose exponents
     are never positive. A paper-mode state beyond the float range raises
     IntegrationError. Extinct strategies stay exactly 0, clamp_events is 0,
-    and max_simplex_drift is the largest |sum(x) - 1| over the states.
+    and max_simplex_drift is the largest |sum(x) - 1| over the states. A
+    terminal residual beyond the float range is None.
     """
     if start.m != worth.m:
         raise ValueError(f"start has m={start.m} but worth has m={worth.m}")
@@ -203,8 +219,8 @@ def integrate(start: ReplicatorState, worth: SymmetricWorth,
 class RestPointReport:
     is_rest_point: bool
     statuses: tuple[str, ...]  # per strategy: extinct | equilibrated | active
-    growth_rates: tuple[float, ...]
-    payoff_deviations: tuple[float, ...]
+    growth_rates: tuple[float | None, ...]  # None: beyond the float range
+    payoff_deviations: tuple[float | None, ...]
 
 
 def rest_point_check(state: ReplicatorState, worth: SymmetricWorth, mode: Mode,
@@ -217,18 +233,18 @@ def rest_point_check(state: ReplicatorState, worth: SymmetricWorth, mode: Mode,
     x = state.frequencies
     avg = average_worth(worth, bell) if mode is Mode.PAPER_CONSTANT_AVERAGE else 0.0
     deviation = _payoff_deviation(x, per_capita_vector(worth), mode, avg)
-    growth = [xk * dev for xk, dev in zip(x, deviation)]
+    growth = _growth(x, deviation)
 
     statuses = []
     for xk, dev in zip(x, deviation):
         if xk == 0.0:
             statuses.append("extinct")
-        elif abs(dev) <= tolerance:
+        elif dev is not None and abs(dev) <= tolerance:
             statuses.append("equilibrated")
         else:
             statuses.append("active")
     return RestPointReport(
-        is_rest_point=all(abs(g) <= tolerance for g in growth),
+        is_rest_point=all(g is not None and abs(g) <= tolerance for g in growth),
         statuses=tuple(statuses),
         growth_rates=tuple(growth),
         payoff_deviations=tuple(deviation),

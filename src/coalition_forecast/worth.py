@@ -174,6 +174,18 @@ def characteristic_from_coalitions(m: int, coalitions: Iterable[Mapping]) -> Cha
     return CharacteristicFunction(m=m, entries=entries)
 
 
+def dyadic(values: Iterable[float]) -> tuple[list[int], int]:
+    """Integers n_j and one power of two d with values[j] == n_j / d exactly.
+
+    Every float is an integer over a power of two, so the largest of those
+    denominators is a multiple of all the others: sums of the n_j are exact.
+    """
+    ratios = [value.as_integer_ratio() for value in values]
+    den = max((d for _, d in ratios), default=1)
+    shift = den.bit_length()
+    return [n << (shift - d.bit_length()) for n, d in ratios], den
+
+
 def per_capita(worth: SymmetricWorth, k: int) -> float:
     """Equal share v(k)/k of an agent inside a size-k coalition."""
     return worth.of_size(k) / k

@@ -1,9 +1,13 @@
 """CLI subcommands, JSON I/O, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import coalition_forecast
 from coalition_forecast import cli
 from coalition_forecast.oracle import VerificationReport
 
@@ -288,6 +292,14 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--m", "3")
         assert code == 5
         assert json.loads(out)["passed"] is False
+
+
+def test_cli_import_leaves_numpy_out():
+    src = os.path.dirname(os.path.dirname(coalition_forecast.__file__))
+    probe = "import sys, coalition_forecast.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
 
 
 class TestParserErrors:

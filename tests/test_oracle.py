@@ -1,8 +1,12 @@
 """Brute-force enumeration oracle vs the closed forms it referees."""
 
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from coalition_forecast import oracle
 from coalition_forecast.combinatorics import (
     EnumerationTooLarge,
     build_bell_table,
@@ -19,6 +23,41 @@ from coalition_forecast.predictor import average_worth
 from coalition_forecast.worth import CharacteristicFunction, SymmetricWorth
 
 SYNERGY = SymmetricWorth(m=3, by_size=(0.0, 1.0, 1.0))
+
+
+def rgs(m):
+    """Test-local reference: every restricted-growth string of length m, in order."""
+    def extend(prefix, top):
+        if len(prefix) == m:
+            yield prefix
+            return
+        for lab in range(top + 2):
+            yield from extend(prefix + (lab,), max(top, lab))
+    yield from extend((0,), 0)
+
+
+def reference_multiplicities(m):
+    multiplicity = [0] * m
+    choice_counts = [0] * m
+    for labels in rgs(m):
+        sizes = [labels.count(b) for b in range(max(labels) + 1)]
+        for size in sizes:
+            multiplicity[size - 1] += 1
+        choice_counts[sizes[0] - 1] += 1
+    return tuple(multiplicity), tuple(choice_counts)
+
+
+def reference_optimum(m, entries):
+    """First maximizer of the exact Fraction total, in enumeration order."""
+    best = None
+    for labels in rgs(m):
+        masks = [0] * (max(labels) + 1)
+        for elem, lab in enumerate(labels):
+            masks[lab] |= 1 << elem
+        total = sum(Fraction(entries[mask]) for mask in masks)
+        if best is None or total > best[0]:
+            best = (total, labels)
+    return best
 
 
 class TestBruteForceAverage:
@@ -39,6 +78,13 @@ class TestBruteForceAverage:
             brute_force_average(worth)
         with pytest.raises(EnumerationTooLarge):
             brute_force_average(SymmetricWorth(m=5, by_size=(0.0,) * 5), cap=4)
+
+    def test_cap_argument_overrides_environment(self, monkeypatch):
+        monkeypatch.setenv("COALITION_FORECAST_ENUM_CAP", "4")
+        oracle._cached_stats.cache_clear()  # make the call below run its scan
+        worth = SymmetricWorth(m=5, by_size=(1.0, 0.0, 0.0, 0.0, 0.0))
+        # a fixed agent is a singleton in B_4 = 15 of the B_5 = 52 structures
+        assert brute_force_average(worth, cap=5) == 15 / 52
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_matches_closed_form_on_random_vectors(self, m):
@@ -70,6 +116,11 @@ class TestBruteForceMultiplicities:
     @pytest.mark.parametrize("m", range(1, 9))
     def test_equals_closed_form(self, m):
         assert brute_force_multiplicities(m) == partition_stats(m, build_bell_table(m))
+
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_equals_reference_scan(self, m):
+        stats = brute_force_multiplicities(m)
+        assert (stats.multiplicity, stats.choice_counts) == reference_multiplicities(m)
 
 
 class TestOptimalStructure:
@@ -114,6 +165,32 @@ class TestOptimalStructure:
                 entries[sum(1 << e for e in block)] for block in part.blocks()
             )
             assert best.total_worth >= total
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    @pytest.mark.parametrize("integer_valued", [False, True], ids=["float", "integer"])
+    def test_matches_exact_reference(self, m, integer_valued):
+        # integer-valued games are full of ties, which go to the first maximizer
+        for seed in range(3):
+            rng = random.Random(f"{m}/{seed}/{integer_valued}")
+            entries = {mask: float(rng.randint(-2, 2)) if integer_valued else rng.uniform(-2, 2)
+                       for mask in range(1, 1 << m)}
+            total, labels = reference_optimum(m, entries)
+            result = optimal_structure(CharacteristicFunction(m=m, entries=entries))
+            assert result.partition.labels == labels
+            assert result.total_worth == float(total)
+
+    def test_decision_is_exact(self):
+        # 1.0 + 2**-53 rounds to 1.0, which would tie (0, 0) and keep it
+        cf = CharacteristicFunction(m=2, entries={1: 1.0, 2: 2.0 ** -53, 3: 1.0})
+        result = optimal_structure(cf)
+        assert result.partition.labels == (0, 1)
+        assert result.total_worth == 1.0
+
+    def test_total_beyond_float_range_is_none(self):
+        cf = CharacteristicFunction(m=2, entries={1: 1.7e308, 2: 1.7e308, 3: 0.0})
+        result = optimal_structure(cf)
+        assert result.partition.labels == (0, 1)
+        assert result.total_worth is None
 
 
 class TestOracleSuite:

@@ -46,6 +46,15 @@ class TestAverageWorth:
     def test_synergy_fixture_value(self):
         assert average_worth(SYNERGY, BELL) == pytest.approx(4 / 15, rel=1e-15)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=30))
+    def test_equals_fraction_sum(self, by_size):
+        m = len(by_size)
+        bell = build_bell_table(m)
+        exact = sum(Fraction(v) * math.comb(m, j) * bell[m - j]
+                    for j, v in enumerate(by_size, start=1)) / (m * bell[m])
+        assert average_worth(SymmetricWorth(m=m, by_size=tuple(by_size)), bell) == float(exact)
+
     def test_requires_covering_bell_table(self):
         with pytest.raises(ValueError):
             average_worth(SymmetricWorth(m=5, by_size=(0.0,) * 5), build_bell_table(3))

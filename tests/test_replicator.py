@@ -206,6 +206,26 @@ class TestIntegrate:
             with pytest.raises(IntegrationError, match="non-finite"):
                 integrate(start, worth, paper, bell)
 
+    def test_values_beyond_float_range_are_none(self):
+        worth = SymmetricWorth(m=6, by_size=(1.7e308,) + (-1.7e308,) * 5)
+        bell = build_bell_table(6)
+        weighted = Mode.FREQUENCY_WEIGHTED
+        for start in (initial_frequencies(6, bell), uniform_frequencies(6)):
+            trajectory = integrate(start, worth, DynamicsConfig(mode=weighted), bell)
+            assert trajectory.terminal_residuals == (0.0, None, None, None, None, None)
+            report = rest_point_check(trajectory.terminal, worth, weighted, bell, 1e-9)
+            assert report.payoff_deviations == (0.0, None, None, None, None, None)
+            assert report.growth_rates == (0.0,) * 6  # extinct: 0.0, never NaN
+            assert report.is_rest_point
+        # at the uniform state the top strategy's growth overflows; the others do not
+        field = vector_field(uniform_frequencies(6), worth, weighted, bell)
+        assert field[0] is None
+        assert all(math.isfinite(rate) for rate in field[1:])
+        report = rest_point_check(uniform_frequencies(6), worth, weighted, bell, 1e-9)
+        assert report.growth_rates == field
+        assert report.statuses[0] == "active"
+        assert not report.is_rest_point
+
     @pytest.mark.parametrize("step, horizon, every", [
         (1e-300, 1e300, 1),          # the ratio is inf: it cannot even be rounded
         (1e-300, 1e300, 10 ** 400),  # so is the ratio against any cadence
