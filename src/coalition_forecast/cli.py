@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .combinatorics import (
     EnumerationTooLarge,
@@ -187,12 +187,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     bell = build_bell_table(args.m)
-    stats = partition_stats(args.m, bell)
-    _dump({
-        "m": stats.m,
-        "multiplicity": list(stats.multiplicity),
-        "choice_counts": list(stats.choice_counts),
-    })
+    _dump(asdict(partition_stats(args.m, bell)))
     return EXIT_OK
 
 

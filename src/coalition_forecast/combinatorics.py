@@ -225,12 +225,14 @@ def partition_stats(m: int, bell: BellTable) -> PartitionStats:
 
     A size-k block can be chosen C(m,k) ways and the remaining m-k
     elements partition freely, so size-k blocks appear C(m,k)*B_{m-k}
-    times overall. Fixing one element cuts the choice to C(m-1,k-1).
+    times overall. Fixing one element cuts the choice to
+    C(m-1,k-1) = C(m,k)*k/m. The predictor and the replicator read their
+    counts from here.
     """
     if m < 1:
         raise ValueError("m must be positive")
     if bell.max_index < m:
         raise ValueError(f"Bell table covers indices up to {bell.max_index}, need {m}")
     multiplicity = tuple(binomial(m, k) * bell[m - k] for k in range(1, m + 1))
-    choice_counts = tuple(binomial(m - 1, k - 1) * bell[m - k] for k in range(1, m + 1))
+    choice_counts = tuple(k * count // m for k, count in enumerate(multiplicity, start=1))
     return PartitionStats(m=m, multiplicity=multiplicity, choice_counts=choice_counts)

@@ -19,23 +19,28 @@ rank-one term, so its value at the point and its norm are O(m) rationals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import Iterator
 
-from .combinatorics import BellTable, binomial
-from .worth import SymmetricWorth, dyadic
-
-
-def _weights(m: int, bell: BellTable) -> list[int]:
-    """Occurrence weights of each coalition size across all structures."""
-    if bell.max_index < m:
-        raise ValueError(f"Bell table covers indices up to {bell.max_index}, need {m}")
-    return [binomial(m, j) * bell[m - j] for j in range(1, m + 1)]
+from .combinatorics import BellTable, partition_stats
+from .worth import SymmetricWorth, dyadic, float_or_none
 
 
-def _average_worth_exact(worth: SymmetricWorth, weights: list[int], denom: int) -> Fraction:
+def _exact_average(worth: SymmetricWorth,
+                   bell: BellTable) -> tuple[tuple[int, ...], Fraction, Iterator[Fraction]]:
+    """Occurrence weights w_j, the average worth and the residuals, all exact.
+
+    The average is sum_j w_j v(j) / (m B_m) with w_j = C(m,j) B_{m-j}, summed
+    as integers over one power-of-two denominator and divided once. The
+    residuals v(k)/k - average come as a generator, so a caller that needs
+    only the average does not pay for them.
+    """
+    m = worth.m
+    weights = partition_stats(m, bell).multiplicity
     numerators, den = dyadic(worth.by_size)
-    return Fraction(sum(n * w for n, w in zip(numerators, weights)), den * denom)
+    avg = Fraction(sum(n * w for n, w in zip(numerators, weights)), den * m * bell[m])
+    return weights, avg, (Fraction(v) / k - avg for k, v in enumerate(worth.by_size, start=1))
 
 
 def average_worth(worth: SymmetricWorth, bell: BellTable) -> float:
@@ -44,13 +49,12 @@ def average_worth(worth: SymmetricWorth, bell: BellTable) -> float:
     Weighted mean of the v(j) with exact integer weights; the single
     division happens at the end.
     """
-    m = worth.m
-    return float(_average_worth_exact(worth, _weights(m, bell), m * bell[m]))
+    return float(_exact_average(worth, bell)[1])
 
 
 def _exact_rows(m: int, bell: BellTable) -> tuple[tuple[Fraction, ...], ...]:
     """Row k is the linear form v -> v(k)/k - (average worth of v)."""
-    weights = _weights(m, bell)
+    weights = partition_stats(m, bell).multiplicity
     denom = m * bell[m]
     rows = []
     for k in range(1, m + 1):
@@ -79,8 +83,6 @@ class HyperplaneSystem:
 
 def hyperplane_system(m: int, bell: BellTable) -> HyperplaneSystem:
     """Coefficient matrix of the per-size equilibrium conditions."""
-    if m < 1:
-        raise ValueError("m must be positive")
     exact = _exact_rows(m, bell)
     coefficients = tuple(tuple(float(a) for a in row) for row in exact)
     row_norms = tuple(
@@ -95,15 +97,8 @@ def hyperplane_system(m: int, bell: BellTable) -> HyperplaneSystem:
     )
 
 
-def _display(value: Fraction) -> float | None:
-    try:
-        return float(value)
-    except OverflowError:
-        return None
-
-
 def _in_float_range(name: str, values: list[float | None]) -> tuple[float, ...]:
-    beyond = [k for k, x in enumerate(values, start=1) if x is None or not math.isfinite(x)]
+    beyond = [k for k, x in enumerate(values, start=1) if x is None]
     if beyond:
         raise ValueError(f"{name} for sizes {beyond} lie beyond the float range")
     return tuple(values)
@@ -111,12 +106,7 @@ def _in_float_range(name: str, values: list[float | None]) -> tuple[float, ...]:
 
 def residuals(worth: SymmetricWorth, bell: BellTable) -> tuple[float, ...]:
     """Per-size deviations v(k)/k - average worth, exact core."""
-    m = worth.m
-    avg = _average_worth_exact(worth, _weights(m, bell), m * bell[m])
-    return _in_float_range("residuals", [
-        _display(Fraction(v) / k - avg)
-        for k, v in enumerate(worth.by_size, start=1)
-    ])
+    return _in_float_range("residuals", [float_or_none(r) for r in _exact_average(worth, bell)[2]])
 
 
 def evaluate_planes(point: SymmetricWorth, system: HyperplaneSystem) -> tuple[float, ...]:
@@ -124,7 +114,7 @@ def evaluate_planes(point: SymmetricWorth, system: HyperplaneSystem) -> tuple[fl
     if point.m != system.m:
         raise ValueError(f"point has m={point.m} but system has m={system.m}")
     return _in_float_range("plane values", [
-        _display(sum(a * Fraction(p) for a, p in zip(row, point.by_size)))
+        float_or_none(sum(a * Fraction(p) for a, p in zip(row, point.by_size)))
         for row in system.exact_rows
     ])
 
@@ -140,7 +130,9 @@ def distances(point: SymmetricWorth, system: HyperplaneSystem) -> tuple[float, .
             raise ValueError(f"point has m={point.m} but system has m={system.m}")
         return (0.0,)
     values = evaluate_planes(point, system)
-    return _in_float_range("distances", [abs(v) / n for v, n in zip(values, system.row_norms)])
+    return _in_float_range("distances", [
+        float_or_none(abs(v) / n) for v, n in zip(values, system.row_norms)
+    ])
 
 
 @dataclass(frozen=True)
@@ -163,23 +155,7 @@ class PredictionReport:
     notes: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "average_worth": self.average_worth,
-            "residuals": list(self.residuals),
-            "distances": list(self.distances),
-            "argmin_set": sorted(self.argmin_set),
-            "chosen_size": self.chosen_size,
-            "degenerate": self.degenerate,
-            "notes": list(self.notes),
-        }
-
-
-def _distance(residual: float | None, norm_sq: Fraction) -> float | None:
-    if residual is None:
-        return None
-    d = abs(residual) / math.sqrt(float(norm_sq))
-    return d if math.isfinite(d) else None
+        return {**asdict(self), "argmin_set": sorted(self.argmin_set)}
 
 
 def predict(point: SymmetricWorth, bell: BellTable) -> PredictionReport:
@@ -194,14 +170,13 @@ def predict(point: SymmetricWorth, bell: BellTable) -> PredictionReport:
     tied size is reported and the smallest wins. Floats are for display only.
     """
     m = point.m
-    weights = _weights(m, bell)
+    weights, avg, exact = _exact_average(point, bell)
+    exact_residuals = list(exact)
     denom = m * bell[m]
-    avg = _average_worth_exact(point, weights, denom)
-    exact_residuals = [Fraction(v) / k - avg for k, v in enumerate(point.by_size, start=1)]
     w_sq = sum(w * w for w in weights)
     norms_sq = [Fraction(denom * denom - 2 * k * denom * w + k * k * w_sq, (k * denom) ** 2)
                 for k, w in enumerate(weights, start=1)]
-    eps = tuple(_display(r) for r in exact_residuals)
+    eps = tuple(float_or_none(r) for r in exact_residuals)
     degenerate = m == 1
     notes = []
     if degenerate:
@@ -210,7 +185,8 @@ def predict(point: SymmetricWorth, bell: BellTable) -> PredictionReport:
         argmin = frozenset({1})
         notes.append("degenerate: with one outsider the single equation is vacuous")
     else:
-        dists = tuple(_distance(r, n2) for r, n2 in zip(eps, norms_sq))
+        dists = tuple(None if r is None else float_or_none(abs(r) / math.sqrt(float(n2)))
+                      for r, n2 in zip(eps, norms_sq))
         ratios = [r * r / n2 for r, n2 in zip(exact_residuals, norms_sq)]
         best = min(ratios)
         argmin = frozenset(k for k, q in enumerate(ratios, start=1) if q == best)

@@ -17,9 +17,9 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .combinatorics import BellTable, binomial
+from .combinatorics import BellTable, partition_stats
 from .predictor import average_worth
-from .worth import SymmetricWorth, per_capita_vector
+from .worth import SymmetricWorth, float_or_none, per_capita_vector
 
 
 class Mode(enum.Enum):
@@ -110,13 +110,8 @@ def initial_frequencies(m: int, bell: BellTable) -> ReplicatorState:
     B_m structures, so x_k(0) is that count over B_m. The counts sum to
     B_m exactly, which is the Bell recurrence.
     """
-    if m < 1:
-        raise ValueError("m must be positive")
-    if bell.max_index < m:
-        raise ValueError(f"Bell table covers indices up to {bell.max_index}, need {m}")
-    total = bell[m]
-    freqs = tuple(binomial(m - 1, k - 1) * bell[m - k] / total for k in range(1, m + 1))
-    return ReplicatorState(time=0.0, frequencies=freqs)
+    counts = partition_stats(m, bell).choice_counts
+    return ReplicatorState(time=0.0, frequencies=tuple(c / bell[m] for c in counts))
 
 
 def uniform_frequencies(m: int) -> ReplicatorState:
@@ -126,23 +121,33 @@ def uniform_frequencies(m: int) -> ReplicatorState:
     return ReplicatorState(time=0.0, frequencies=(1.0 / m,) * m)
 
 
-def _in_range(value: float) -> float | None:
-    return value if -_FLOAT_MAX <= value <= _FLOAT_MAX else None
-
-
 def _payoff_deviation(x, payoffs, mode: Mode, constant_average: float) -> list[float | None]:
     """p_k minus the average, None where that lies beyond the float range."""
     if mode is Mode.PAPER_CONSTANT_AVERAGE:
         average = constant_average
     else:
-        average = math.fsum(a * p for a, p in zip(x, payoffs))
-    return [_in_range(p - average) for p in payoffs]
+        try:
+            average = math.fsum(a * p for a, p in zip(x, payoffs))
+        except OverflowError:  # the mean of a state off the simplex overflows
+            return [None] * len(payoffs)
+    return [float_or_none(p - average) for p in payoffs]
 
 
-def _growth(x, deviation) -> list[float | None]:
-    # an extinct strategy does not grow, whatever its deviation
-    return [0.0 if xk == 0.0 else None if dev is None else _in_range(xk * dev)
-            for xk, dev in zip(x, deviation)]
+def _deviation_and_growth(state: ReplicatorState, worth: SymmetricWorth, mode: Mode,
+                          bell: BellTable) -> tuple[list[float | None], list[float | None]]:
+    """Payoff deviations and growth rates x_k * deviation_k at a state.
+
+    A value beyond the float range is None; an extinct strategy's rate is
+    0.0, whatever its deviation.
+    """
+    if state.m != worth.m:
+        raise ValueError(f"state has m={state.m} but worth has m={worth.m}")
+    x = state.frequencies
+    avg = average_worth(worth, bell) if mode is Mode.PAPER_CONSTANT_AVERAGE else 0.0
+    deviation = _payoff_deviation(x, per_capita_vector(worth), mode, avg)
+    growth = [0.0 if xk == 0.0 else None if dev is None else float_or_none(xk * dev)
+              for xk, dev in zip(x, deviation)]
+    return deviation, growth
 
 
 def vector_field(state: ReplicatorState, worth: SymmetricWorth, mode: Mode,
@@ -151,11 +156,7 @@ def vector_field(state: ReplicatorState, worth: SymmetricWorth, mode: Mode,
 
     A rate beyond the float range is None; an extinct strategy's rate is 0.0.
     """
-    if state.m != worth.m:
-        raise ValueError(f"state has m={state.m} but worth has m={worth.m}")
-    avg = average_worth(worth, bell) if mode is Mode.PAPER_CONSTANT_AVERAGE else 0.0
-    deviation = _payoff_deviation(state.frequencies, per_capita_vector(worth), mode, avg)
-    return tuple(_growth(state.frequencies, deviation))
+    return tuple(_deviation_and_growth(state, worth, mode, bell)[1])
 
 
 def integrate(start: ReplicatorState, worth: SymmetricWorth,
@@ -228,15 +229,10 @@ def rest_point_check(state: ReplicatorState, worth: SymmetricWorth, mode: Mode,
     """Is the state a rest point: every strategy extinct or at the average?"""
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    if state.m != worth.m:
-        raise ValueError(f"state has m={state.m} but worth has m={worth.m}")
-    x = state.frequencies
-    avg = average_worth(worth, bell) if mode is Mode.PAPER_CONSTANT_AVERAGE else 0.0
-    deviation = _payoff_deviation(x, per_capita_vector(worth), mode, avg)
-    growth = _growth(x, deviation)
+    deviation, growth = _deviation_and_growth(state, worth, mode, bell)
 
     statuses = []
-    for xk, dev in zip(x, deviation):
+    for xk, dev in zip(state.frequencies, deviation):
         if xk == 0.0:
             statuses.append("extinct")
         elif dev is not None and abs(dev) <= tolerance:

@@ -186,6 +186,19 @@ def dyadic(values: Iterable[float]) -> tuple[list[int], int]:
     return [n << (shift - d.bit_length()) for n, d in ratios], den
 
 
+def float_or_none(value) -> float | None:
+    """The value as a float, or None where it lies beyond the float range.
+
+    Takes a float, which is None if infinite or NaN, or an exact rational,
+    which is None if its correctly rounded float would overflow.
+    """
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def per_capita(worth: SymmetricWorth, k: int) -> float:
     """Equal share v(k)/k of an agent inside a size-k coalition."""
     return worth.of_size(k) / k

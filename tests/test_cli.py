@@ -294,6 +294,21 @@ class TestVerify:
         assert json.loads(out)["passed"] is False
 
 
+@pytest.mark.parametrize("argv, keys", [
+    (["predict", "GAME"], ["m", "average_worth", "residuals", "distances", "argmin_set",
+                           "chosen_size", "degenerate", "notes"]),
+    (["verify", "--m", "3", "--trials", "5"],
+     ["m", "trials", "seed", "partitions_enumerated", "bell_value", "count_matches",
+      "multiplicity_matches", "choice_counts_match", "max_average_rel_err",
+      "averages_match", "passed"]),
+    (["stats", "--m", "3"], ["m", "multiplicity", "choice_counts"]),
+], ids=["predict", "verify", "stats"])
+def test_json_key_order_is_pinned(capsys, game_file, argv, keys):
+    code, out, _ = run(capsys, *(game_file if arg == "GAME" else arg for arg in argv))
+    assert code == 0
+    assert list(json.loads(out)) == keys
+
+
 def test_cli_import_leaves_numpy_out():
     src = os.path.dirname(os.path.dirname(coalition_forecast.__file__))
     probe = "import sys, coalition_forecast.cli; print('numpy' in sys.modules)"

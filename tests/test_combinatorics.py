@@ -15,6 +15,9 @@ from coalition_forecast.combinatorics import (
     enumerate_partitions,
     partition_stats,
 )
+from coalition_forecast.predictor import average_worth, hyperplane_system, predict, residuals
+from coalition_forecast.replicator import initial_frequencies
+from coalition_forecast.worth import SymmetricWorth
 
 
 def pascal_triangle(rows):
@@ -186,6 +189,23 @@ class TestPartitionStats:
     def test_requires_covering_bell_table(self):
         with pytest.raises(ValueError):
             partition_stats(5, build_bell_table(3))
+
+
+WORTH_5 = SymmetricWorth(m=5, by_size=(0.0, 1.0, 1.0, 2.0, 3.0))
+CLOSED_FORMS = {
+    "partition_stats": lambda bell: partition_stats(5, bell),
+    "average_worth": lambda bell: average_worth(WORTH_5, bell),
+    "residuals": lambda bell: residuals(WORTH_5, bell),
+    "predict": lambda bell: predict(WORTH_5, bell),
+    "hyperplane_system": lambda bell: hyperplane_system(5, bell),
+    "initial_frequencies": lambda bell: initial_frequencies(5, bell),
+}
+
+
+@pytest.mark.parametrize("name", CLOSED_FORMS)
+def test_closed_forms_require_covering_bell_table(name):
+    with pytest.raises(ValueError, match=r"^Bell table covers indices up to 3, need 5$"):
+        CLOSED_FORMS[name](build_bell_table(3))
 
 
 @settings(max_examples=20, deadline=None)

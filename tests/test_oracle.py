@@ -199,7 +199,7 @@ class TestOracleSuite:
         assert report.passed
         assert report.partitions_enumerated == 15
         assert report.bell_value == 15
-        assert report.max_average_rel_err <= 1e-12
+        assert report.max_average_rel_err == 0.0
 
     def test_report_serializes(self):
         d = oracle_suite(3, trials=10, seed=1).to_dict()

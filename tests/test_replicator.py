@@ -226,6 +226,18 @@ class TestIntegrate:
         assert report.statuses[0] == "active"
         assert not report.is_rest_point
 
+    def test_overflowing_weighted_average_is_none(self):
+        # off the simplex the weighted mean 1e308 * 1.0 + 1e308 * 1.0 overflows in fsum
+        worth = SymmetricWorth(m=2, by_size=(1.0, 2.0))
+        state = ReplicatorState(time=0.0, frequencies=(1e308, 1e308))
+        weighted = Mode.FREQUENCY_WEIGHTED
+        assert vector_field(state, worth, weighted, BELL) == (None, None)
+        report = rest_point_check(state, worth, weighted, BELL, 1e-9)
+        assert report.payoff_deviations == (None, None)
+        assert report.growth_rates == (None, None)
+        assert report.statuses == ("active", "active")
+        assert not report.is_rest_point
+
     @pytest.mark.parametrize("step, horizon, every", [
         (1e-300, 1e300, 1),          # the ratio is inf: it cannot even be rounded
         (1e-300, 1e300, 10 ** 400),  # so is the ratio against any cadence
