@@ -34,6 +34,7 @@ from .worth import (
     SymmetricWorth,
     SymmetryViolation,
     characteristic_from_coalitions,
+    check_tolerance,
     reduce_to_symmetric,
     worth_from_json,
 )
@@ -72,6 +73,7 @@ class GameInput:
 
     @staticmethod
     def from_dict(obj: dict, tolerance: float = DEFAULT_SYMMETRY_TOLERANCE) -> "GameInput":
+        check_tolerance(tolerance)
         if not isinstance(obj, dict):
             raise InputError("game file must contain a JSON object")
         m = _resolve_outsider_count(obj)
@@ -93,8 +95,6 @@ class GameInput:
                 raise InputError("'coalitions' must be a list of records")
             try:
                 cf = characteristic_from_coalitions(m, coalitions)
-            except SymmetryViolation:
-                raise
             except ValueError as exc:
                 raise InputError(str(exc)) from exc
             worth = reduce_to_symmetric(cf, tolerance)
@@ -129,7 +129,7 @@ def _load_game(path: str, tolerance: float) -> GameInput:
             obj = json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
     return GameInput.from_dict(obj, tolerance)
 

@@ -23,12 +23,7 @@ class EnumerationTooLarge(ValueError):
 def enumeration_cap() -> int:
     """Effective enumeration cap: the env override if set, else the default."""
     raw = os.environ.get(_CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_ENUMERATION_CAP
-    cap = int(raw)
-    if cap < 1:
-        raise ValueError(f"{_CAP_ENV_VAR} must be a positive integer, got {raw!r}")
-    return cap
+    return DEFAULT_ENUMERATION_CAP if raw is None else int(raw)
 
 
 @dataclass(frozen=True)
@@ -171,6 +166,9 @@ def _rgs_prefixes(m: int) -> Iterator[tuple[list[int], list[int], list[int], int
 
 def _check_cap(m: int, cap: int | None) -> None:
     effective = enumeration_cap() if cap is None else cap
+    if effective < 1:
+        source = "the enumeration cap" if cap is not None else _CAP_ENV_VAR
+        raise ValueError(f"{source} must be a positive integer, got {effective}")
     if m > effective:
         bell_m = build_bell_table(m)[m]
         raise EnumerationTooLarge(

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .combinatorics import (
@@ -127,7 +126,7 @@ def optimal_structure(cf: CharacteristicFunction, cap: int | None = None) -> Opt
         predicted = None
     return OptimalStructureResult(
         partition=SetPartition(m=m, labels=best_labels),
-        total_worth=float_or_none(Fraction(best_total, den)),
+        total_worth=float_or_none(best_total, den),
         predicted_size=predicted,
     )
 

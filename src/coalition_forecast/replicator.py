@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .combinatorics import BellTable, partition_stats
 from .predictor import average_worth
-from .worth import SymmetricWorth, float_or_none, per_capita_vector
+from .worth import SymmetricWorth, dyadic, float_or_none, per_capita_vector
 
 
 class Mode(enum.Enum):
@@ -125,12 +125,10 @@ def _payoff_deviation(x, payoffs, mode: Mode, constant_average: float) -> list[f
     """p_k minus the average, None where that lies beyond the float range."""
     if mode is Mode.PAPER_CONSTANT_AVERAGE:
         average = constant_average
-    else:
-        try:
-            average = math.fsum(a * p for a, p in zip(x, payoffs))
-        except OverflowError:  # the mean of a state off the simplex overflows
-            return [None] * len(payoffs)
-    return [float_or_none(p - average) for p in payoffs]
+    else:  # the exact mean, rounded once; off the simplex it may lie beyond the range
+        (xs, x_den), (ps, p_den) = dyadic(x), dyadic(payoffs)
+        average = float_or_none(sum(a * p for a, p in zip(xs, ps)), x_den * p_den)
+    return [None if average is None else float_or_none(p - average) for p in payoffs]
 
 
 def _deviation_and_growth(state: ReplicatorState, worth: SymmetricWorth, mode: Mode,

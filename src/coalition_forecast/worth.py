@@ -106,16 +106,20 @@ def _agree(a: float, b: float, tolerance: float) -> bool:
     return abs(a - b) <= tolerance * max(1.0, abs(a), abs(b))
 
 
+def check_tolerance(tolerance: float) -> None:
+    if not tolerance >= 0:  # NaN is not a tolerance either
+        raise ValueError(f"tolerance must be non-negative, got {tolerance}")
+
+
 def reduce_to_symmetric(cf: CharacteristicFunction,
                         tolerance: float = DEFAULT_SYMMETRY_TOLERANCE) -> SymmetricWorth:
     """Collapse a characteristic function to its per-size worth vector.
 
     All coalitions of a given size must agree within `tolerance`
     (relative, with an absolute floor near zero); the reported v(k) is
-    their mean. Raises SymmetryViolation naming the extreme pair otherwise.
+    their exact mean. Raises SymmetryViolation naming the extreme pair otherwise.
     """
-    if tolerance < 0:
-        raise ValueError("tolerance must be non-negative")
+    check_tolerance(tolerance)
     by_size = []
     for k in range(1, cf.m + 1):
         group = [(mask, value) for mask, value in cf.entries.items()
@@ -128,7 +132,8 @@ def reduce_to_symmetric(cf: CharacteristicFunction,
         if lo[1] == hi[1]:
             by_size.append(lo[1])  # constant class: stay exact, no mean rounding
         else:
-            by_size.append(math.fsum(value for _, value in group) / len(group))
+            numerators, den = dyadic(value for _, value in group)  # the exact mean, finite
+            by_size.append(sum(numerators) / (den * len(group)))
     return SymmetricWorth(m=cf.m, by_size=tuple(by_size))
 
 
@@ -186,14 +191,15 @@ def dyadic(values: Iterable[float]) -> tuple[list[int], int]:
     return [n << (shift - d.bit_length()) for n, d in ratios], den
 
 
-def float_or_none(value) -> float | None:
-    """The value as a float, or None where it lies beyond the float range.
+def float_or_none(num, den: int = 1) -> float | None:
+    """num / den as a float, or None where it lies beyond the float range.
 
-    Takes a float, which is None if infinite or NaN, or an exact rational,
-    which is None if its correctly rounded float would overflow.
+    The one rounding rule for exact values: an integer numerator over an
+    integer denominator, divided once (int / int division is correctly
+    rounded). A float num with den 1 passes through, None if inf or NaN.
     """
     try:
-        value = float(value)
+        value = num / den
     except OverflowError:
         return None
     return value if math.isfinite(value) else None

@@ -117,6 +117,39 @@ class TestPredict:
         assert code == 2 and out == ""
         assert "beyond the float range" in json.loads(err)["message"]
 
+    def test_deeply_nested_json_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        code, out, err = run(capsys, "predict", str(path))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert "invalid JSON" in json.loads(err)["message"]
+
+    def test_same_size_worths_near_the_float_maximum(self, capsys, tmp_path):
+        # their float sum overflows; their exact mean is in range
+        game = {"m": 2, "coalitions": [
+            {"members": [0], "worth": 1.7e308}, {"members": [1], "worth": 1.6999999999999998e308},
+            {"members": [0, 1], "worth": 1.0},
+        ]}
+        path = tmp_path / "near-max.json"
+        path.write_text(json.dumps(game))
+        code, out, err = run(capsys, "average", str(path))
+        assert code == 0 and err == ""
+        # v(1) is the mean of the halves, both exact; v~ = v(1)/2 + 1/4 rounds to v(1)/2
+        mean = 1.7e308 / 2 + 1.6999999999999998e308 / 2
+        assert json.loads(out) == {"v_tilde": mean / 2}
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "-0.5"])
+    @pytest.mark.parametrize("schema", ["by_size", "coalitions"])
+    def test_invalid_tolerance_exits_2(self, capsys, tmp_path, tolerance, schema):
+        game = {"m": 1, "by_size": [1.0]} if schema == "by_size" else {
+            "m": 1, "coalitions": [{"members": [0], "worth": 1.0}]}
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(game))
+        code, out, err = run(capsys, "predict", str(path), "--tolerance", tolerance)
+        assert code == 2 and out == ""
+        assert "tolerance must be non-negative" in json.loads(err)["message"]
+
     def test_symmetry_violation_exit_code(self, capsys, tmp_path):
         game = {
             "m": 2,
@@ -250,6 +283,21 @@ class TestEnumerate:
     def test_cap_override(self, capsys):
         code, _, err = run(capsys, "enumerate", "--m", "4", "--cap", "3")
         assert code == 4
+
+    @pytest.mark.parametrize("argv", [["enumerate", "--m", "3", "--cap", "-1"],
+                                      ["enumerate", "--m", "3", "--cap", "0"],
+                                      ["verify", "--m", "3", "--cap", "-1"]])
+    def test_cap_below_one_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "must be a positive integer" in json.loads(err)["message"]
+
+    def test_cap_below_one_from_environment_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("COALITION_FORECAST_ENUM_CAP", "-1")
+        code, out, err = run(capsys, "enumerate", "--m", "3")
+        assert code == 2 and out == ""
+        message = json.loads(err)["message"]
+        assert "COALITION_FORECAST_ENUM_CAP must be a positive integer" in message
 
 
 class TestStats:

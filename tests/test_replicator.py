@@ -225,6 +225,12 @@ class TestIntegrate:
         assert report.growth_rates == field
         assert report.statuses[0] == "active"
         assert not report.is_rest_point
+        # off the simplex: partial sums of the products pass the float maximum, the mean does not
+        state = ReplicatorState(time=0.0, frequencies=(1e308,) * 3)
+        mixed = SymmetricWorth(m=3, by_size=(1.0, 2.0, -3.0))  # payoffs 1, 1, -1
+        report = rest_point_check(state, mixed, weighted, BELL, 1e-9)
+        assert report.payoff_deviations == (1.0 - 1e308, 1.0 - 1e308, -1.0 - 1e308)
+        assert report.growth_rates == (None, None, None)
 
     def test_overflowing_weighted_average_is_none(self):
         # off the simplex the weighted mean 1e308 * 1.0 + 1e308 * 1.0 overflows in fsum

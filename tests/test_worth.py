@@ -1,6 +1,8 @@
 """Characteristic functions and their reduction to per-size worths."""
 
 import math
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -12,6 +14,7 @@ from coalition_forecast.worth import (
     SymmetryViolation,
     characteristic_from_coalitions,
     expand_to_characteristic,
+    float_or_none,
     per_capita,
     per_capita_vector,
     reduce_to_symmetric,
@@ -79,6 +82,19 @@ class TestReduceToSymmetric:
         worth = reduce_to_symmetric(cf)
         assert worth.by_size[0] == pytest.approx(1.0 + 5e-13, abs=1e-15)
 
+    def test_mean_near_the_float_maximum(self):
+        # the float sum of the two worths overflows; their exact mean does not
+        cf = CharacteristicFunction(m=2, entries={1: 1.7e308, 2: 1.6999999999999998e308, 3: 1.0})
+        assert reduce_to_symmetric(cf).by_size == (1.7e308 / 2 + 1.6999999999999998e308 / 2, 1.0)
+
+    @given(st.lists(st.floats(0.5, 2.0), min_size=2, max_size=5))
+    def test_singleton_mean_is_the_correctly_rounded_exact_mean(self, singles):
+        m = len(singles)
+        entries = {mask: 1.0 for mask in range(1, 1 << m)}
+        entries.update({1 << i: value for i, value in enumerate(singles)})
+        worth = reduce_to_symmetric(CharacteristicFunction(m=m, entries=entries), tolerance=2.0)
+        assert worth.by_size[0] == float(sum(map(Fraction, singles)) / m)
+
     @given(st.lists(finite_floats, min_size=1, max_size=6))
     def test_idempotent_on_symmetric_games(self, by_size):
         worth = SymmetricWorth(m=len(by_size), by_size=tuple(by_size))
@@ -123,3 +139,31 @@ class TestSymmetricWorth:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             SymmetricWorth(m=1, by_size=(math.nan,))
+
+
+# a ratio at or above this rounds to inf: halfway to 2**1024 rounds to even
+FLOAT_LIMIT = 2 ** 1024 - 2 ** 970
+
+
+class TestFloatOrNone:
+    @given(st.integers(-(2 ** 1100), 2 ** 1100), st.integers(1, 2 ** 1100))
+    def test_is_the_correctly_rounded_ratio_or_none(self, num, den):
+        if abs(Fraction(num, den)) < FLOAT_LIMIT:
+            assert float_or_none(num, den) == float(Fraction(num, den))
+        else:
+            assert float_or_none(num, den) is None
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_range_edge(self, sign):
+        assert float_or_none(sign * (FLOAT_LIMIT - 1)) == sign * sys.float_info.max
+        assert float_or_none(sign * FLOAT_LIMIT) is None
+        assert float_or_none(sign * 2 ** 1025, 2) is None
+        assert float_or_none(sign * 2 ** 1025, 4) == sign * 2.0 ** 1023
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_float_is_none(self, value):
+        assert float_or_none(value) is None
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_finite_float_passes_through(self, value):
+        assert float_or_none(value) == value
