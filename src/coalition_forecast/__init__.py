@@ -13,7 +13,6 @@ from .combinatorics import (
     EnumerationTooLarge,
     PartitionStats,
     SetPartition,
-    binomial,
     build_bell_table,
     enumerate_partitions,
     partition_stats,
@@ -55,7 +54,6 @@ from .worth import (
     SymmetryViolation,
     characteristic_from_coalitions,
     expand_to_characteristic,
-    per_capita,
     per_capita_vector,
     reduce_to_symmetric,
 )
@@ -79,7 +77,6 @@ __all__ = [
     "Trajectory",
     "VerificationReport",
     "average_worth",
-    "binomial",
     "brute_force_average",
     "brute_force_multiplicities",
     "build_bell_table",
@@ -94,7 +91,6 @@ __all__ = [
     "optimal_structure",
     "oracle_suite",
     "partition_stats",
-    "per_capita",
     "per_capita_vector",
     "predict",
     "rest_point_check",

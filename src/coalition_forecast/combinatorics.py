@@ -1,4 +1,4 @@
-"""Exact integer combinatorics: Bell numbers, binomials, and set partitions.
+"""Exact integer combinatorics: Bell numbers and set partitions.
 
 Everything here is computed on Python's arbitrary-precision integers, so
 the closed-form weights stay exact far beyond the range where explicit
@@ -18,12 +18,6 @@ _CAP_ENV_VAR = "COALITION_FORECAST_ENUM_CAP"
 
 class EnumerationTooLarge(ValueError):
     """Raised when a full set-partition enumeration would exceed the cap."""
-
-
-def enumeration_cap() -> int:
-    """Effective enumeration cap: the env override if set, else the default."""
-    raw = os.environ.get(_CAP_ENV_VAR)
-    return DEFAULT_ENUMERATION_CAP if raw is None else int(raw)
 
 
 @dataclass(frozen=True)
@@ -54,8 +48,6 @@ def build_bell_table(max_index: int) -> BellTable:
     Each row of the triangle starts with the last entry of the previous row
     and accumulates partial sums; the row head is the next Bell number.
     """
-    if max_index < 0:
-        raise ValueError("max_index must be non-negative")
     values = [1]
     row = [1]
     for _ in range(max_index):
@@ -64,12 +56,7 @@ def build_bell_table(max_index: int) -> BellTable:
             nxt.append(nxt[-1] + entry)
         row = nxt
         values.append(row[0])
-    return BellTable(max_index=max_index, values=tuple(values[: max_index + 1]))
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k), exact; 0 when k > n."""
-    return math.comb(n, k)
+    return BellTable(max_index=max_index, values=tuple(values))
 
 
 @dataclass(frozen=True)
@@ -77,44 +64,12 @@ class SetPartition:
     """One partition of {0,..,m-1} in canonical restricted-growth form.
 
     labels[i] is the block index of element i; labels[0] == 0 and each new
-    block index is introduced in order, so equal partitions have equal
-    label sequences.
+    block index is introduced in order, so equal partitions have equal label
+    sequences. Only the walker builds them: canonical by construction.
     """
 
     m: int
     labels: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError("m must be positive")
-        if len(self.labels) != self.m:
-            raise ValueError("labels length must equal m")
-        if self.labels[0] != 0:
-            raise ValueError("restricted-growth labels must start at 0")
-        prefix_max = 0
-        for lab in self.labels[1:]:
-            if lab < 0 or lab > prefix_max + 1:
-                raise ValueError(f"labels {self.labels} violate restricted growth")
-            if lab > prefix_max:
-                prefix_max = lab
-
-    @property
-    def num_blocks(self) -> int:
-        return max(self.labels) + 1
-
-    def blocks(self) -> list[list[int]]:
-        """Blocks as element lists, indexed by block label."""
-        out: list[list[int]] = [[] for _ in range(self.num_blocks)]
-        for elem, lab in enumerate(self.labels):
-            out[lab].append(elem)
-        return out
-
-    def block_sizes(self) -> tuple[int, ...]:
-        """Size of each block, indexed by block label."""
-        sizes = [0] * self.num_blocks
-        for lab in self.labels:
-            sizes[lab] += 1
-        return tuple(sizes)
 
 
 def _rgs_prefixes(m: int) -> Iterator[tuple[list[int], list[int], list[int], int]]:
@@ -165,10 +120,16 @@ def _rgs_prefixes(m: int) -> Iterator[tuple[list[int], list[int], list[int], int
 
 
 def _check_cap(m: int, cap: int | None) -> None:
-    effective = enumeration_cap() if cap is None else cap
-    if effective < 1:
-        source = "the enumeration cap" if cap is not None else _CAP_ENV_VAR
-        raise ValueError(f"{source} must be a positive integer, got {effective}")
+    """m against the cap: the argument, else COALITION_FORECAST_ENUM_CAP, else 12."""
+    source, effective = "the enumeration cap", cap
+    if cap is None:
+        source, effective = _CAP_ENV_VAR, os.environ.get(_CAP_ENV_VAR, DEFAULT_ENUMERATION_CAP)
+        try:
+            effective = int(effective)
+        except ValueError:
+            pass  # not an integer: named as given in the error below
+    if isinstance(effective, str) or effective < 1:
+        raise ValueError(f"{source} must be a positive integer, got {effective!r}")
     if m > effective:
         bell_m = build_bell_table(m)[m]
         raise EnumerationTooLarge(
@@ -211,12 +172,6 @@ class PartitionStats:
     multiplicity: tuple[int, ...]
     choice_counts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError("m must be positive")
-        if len(self.multiplicity) != self.m or len(self.choice_counts) != self.m:
-            raise ValueError("multiplicity and choice_counts must have length m")
-
 
 def partition_stats(m: int, bell: BellTable) -> PartitionStats:
     """Closed-form block counts: no enumeration involved.
@@ -231,6 +186,6 @@ def partition_stats(m: int, bell: BellTable) -> PartitionStats:
         raise ValueError("m must be positive")
     if bell.max_index < m:
         raise ValueError(f"Bell table covers indices up to {bell.max_index}, need {m}")
-    multiplicity = tuple(binomial(m, k) * bell[m - k] for k in range(1, m + 1))
+    multiplicity = tuple(math.comb(m, k) * bell[m - k] for k in range(1, m + 1))
     choice_counts = tuple(k * count // m for k, count in enumerate(multiplicity, start=1))
     return PartitionStats(m=m, multiplicity=multiplicity, choice_counts=choice_counts)

@@ -166,10 +166,12 @@ def oracle_suite(m: int, trials: int = 1000, seed: int = 0,
                  cap: int | None = None) -> VerificationReport:
     """Run the full enumeration-vs-closed-form check for one m.
 
-    Compares enumerated block counts against the closed forms and the
-    brute-force average against the weighted-mean average on `trials`
-    worth vectors drawn uniform on [-1, 1] per coordinate. Both averages
-    are correctly rounded from exact sums, so they must agree exactly.
+    Compares enumerated block counts against the closed forms, and the
+    brute-force average against the weighted-mean average on `trials` worth
+    vectors drawn uniform on [-1, 1] per coordinate. The brute-force average
+    reads the enumerated multiplicities, so once count_matches and
+    multiplicity_matches hold, both averages round the same exact ratio and
+    averages_match cannot fail: the trials only confirm that regrouping.
     """
     if trials < 1:
         raise ValueError("trials must be positive")

@@ -91,13 +91,6 @@ class Trajectory:
     clamp_events: int
     max_simplex_drift: float
 
-    def __post_init__(self) -> None:
-        if not self.states:
-            raise ValueError("trajectory must contain at least one state")
-        times = [state.time for state in self.states]
-        if any(later <= earlier for earlier, later in zip(times, times[1:])):
-            raise ValueError("recorded times must be strictly increasing")
-
     @property
     def terminal(self) -> ReplicatorState:
         return self.states[-1]

@@ -75,9 +75,6 @@ class CharacteristicFunction:
             if not math.isfinite(value):
                 raise ValueError(f"worth of coalition {mask_to_members(mask)} is not finite")
 
-    def worth(self, members: Iterable[int]) -> float:
-        return self.entries[members_to_mask(members, self.m)]
-
 
 @dataclass(frozen=True)
 class SymmetricWorth:
@@ -94,11 +91,6 @@ class SymmetricWorth:
         for k, value in enumerate(self.by_size, start=1):
             if not math.isfinite(value):
                 raise ValueError(f"v({k}) is not finite")
-
-    def of_size(self, k: int) -> float:
-        if not 1 <= k <= self.m:
-            raise IndexError(f"coalition size {k} outside 1..{self.m}")
-        return self.by_size[k - 1]
 
 
 def _agree(a: float, b: float, tolerance: float) -> bool:
@@ -120,10 +112,11 @@ def reduce_to_symmetric(cf: CharacteristicFunction,
     their exact mean. Raises SymmetryViolation naming the extreme pair otherwise.
     """
     check_tolerance(tolerance)
+    groups: list[list[tuple[int, float]]] = [[] for _ in range(cf.m)]
+    for mask, value in cf.entries.items():  # one pass; each size keeps entry order
+        groups[mask.bit_count() - 1].append((mask, value))
     by_size = []
-    for k in range(1, cf.m + 1):
-        group = [(mask, value) for mask, value in cf.entries.items()
-                 if mask.bit_count() == k]
+    for group in groups:
         lo = min(group, key=lambda item: item[1])
         hi = max(group, key=lambda item: item[1])
         if not _agree(lo[1], hi[1], tolerance):
@@ -203,11 +196,6 @@ def float_or_none(num, den: int = 1) -> float | None:
     except OverflowError:
         return None
     return value if math.isfinite(value) else None
-
-
-def per_capita(worth: SymmetricWorth, k: int) -> float:
-    """Equal share v(k)/k of an agent inside a size-k coalition."""
-    return worth.of_size(k) / k
 
 
 def per_capita_vector(worth: SymmetricWorth) -> tuple[float, ...]:

@@ -10,6 +10,7 @@ import pytest
 import coalition_forecast
 from coalition_forecast import cli
 from coalition_forecast.oracle import VerificationReport
+from partition_reference import rgs
 
 
 @pytest.fixture
@@ -273,6 +274,11 @@ class TestEnumerate:
         lines = out.strip().splitlines()
         assert lines == ["0 0 0", "0 0 1", "0 1 0", "0 1 1", "0 1 2"]
 
+    def test_m8_lines_are_the_reference(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--m", "8")
+        assert code == 0 and err == ""
+        assert out == "".join(" ".join(map(str, labels)) + "\n" for labels in rgs(8))
+
     def test_cap_exceeded(self, capsys):
         code, _, err = run(capsys, "enumerate", "--m", "13")
         assert code == 4
@@ -293,11 +299,12 @@ class TestEnumerate:
         assert "must be a positive integer" in json.loads(err)["message"]
 
     def test_cap_below_one_from_environment_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("COALITION_FORECAST_ENUM_CAP", "-1")
-        code, out, err = run(capsys, "enumerate", "--m", "3")
-        assert code == 2 and out == ""
-        message = json.loads(err)["message"]
-        assert "COALITION_FORECAST_ENUM_CAP must be a positive integer" in message
+        for raw in ("-1", "abc"):
+            monkeypatch.setenv("COALITION_FORECAST_ENUM_CAP", raw)
+            code, out, err = run(capsys, "enumerate", "--m", "3")
+            assert code == 2 and out == ""
+            message = json.loads(err)["message"]
+            assert "COALITION_FORECAST_ENUM_CAP must be a positive integer" in message
 
 
 class TestStats:
@@ -363,6 +370,13 @@ def test_cli_import_leaves_numpy_out():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in coalition_forecast.__all__
+               if not hasattr(coalition_forecast, name)]
+    assert missing == []
+    exec("from coalition_forecast import *", {})
 
 
 class TestParserErrors:

@@ -1,4 +1,4 @@
-"""Exact combinatorics: Bell table, binomials, partition enumeration, counts."""
+"""Exact combinatorics: Bell table, partition enumeration, counts."""
 
 import math
 
@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from coalition_forecast.combinatorics import (
     BellTable,
     EnumerationTooLarge,
-    SetPartition,
-    binomial,
     build_bell_table,
     enumerate_partitions,
     partition_stats,
@@ -18,6 +16,7 @@ from coalition_forecast.combinatorics import (
 from coalition_forecast.predictor import average_worth, hyperplane_system, predict, residuals
 from coalition_forecast.replicator import initial_frequencies
 from coalition_forecast.worth import SymmetricWorth
+from partition_reference import block_sizes, blocks, rgs
 
 
 def pascal_triangle(rows):
@@ -57,46 +56,48 @@ class TestBellTable:
 
 
 class TestBinomial:
+    """The binomial factors of the closed-form counts, against Pascal's triangle."""
+
     def test_paper_weight_factor(self):
-        assert binomial(3, 1) == 3
+        # m = 3: a singleton block is chosen C(3,1) = 3 ways, the rest form B_2 structures
+        assert partition_stats(3, build_bell_table(3)).multiplicity[0] == 3 * 2
 
     @pytest.mark.parametrize("n", [0, 1, 5, 40])
     def test_choose_zero(self, n):
-        assert binomial(n, 0) == 1
+        # a fixed agent is a singleton in C(n,0) B_n of the B_{n+1} structures
+        bell = build_bell_table(n + 1)
+        assert partition_stats(n + 1, bell).choice_counts[0] == bell[n]
 
     def test_twelve_choose_five(self):
+        bell = build_bell_table(12)
         assert pascal_triangle(12)[12][5] == 792
-        assert binomial(12, 5) == 792
+        assert partition_stats(12, bell).multiplicity[4] == 792 * bell[7]
 
     def test_k_above_n_is_zero(self):
-        assert binomial(4, 7) == 0
+        # no block exceeds m: the counts stop at the one grand coalition
+        stats = partition_stats(4, build_bell_table(4))
+        assert len(stats.multiplicity) == len(stats.choice_counts) == 4
+        assert stats.multiplicity[-1] == stats.choice_counts[-1] == 1
 
-    @given(st.integers(0, 25), st.integers(0, 25))
-    def test_matches_pascal(self, n, k):
-        tri = pascal_triangle(25)
-        expected = tri[n][k] if k <= n else 0
-        assert binomial(n, k) == expected
+    @given(st.integers(1, 25))
+    def test_matches_pascal(self, m):
+        tri, bell = pascal_triangle(25), build_bell_table(m)
+        stats = partition_stats(m, bell)
+        assert stats.multiplicity == tuple(tri[m][k] * bell[m - k] for k in range(1, m + 1))
+        assert stats.choice_counts == tuple(tri[m - 1][k - 1] * bell[m - k]
+                                            for k in range(1, m + 1))
 
 
 class TestSetPartition:
     def test_blocks_roundtrip(self):
-        part = SetPartition(m=4, labels=(0, 1, 0, 2))
-        assert part.blocks() == [[0, 2], [1], [3]]
-        assert part.block_sizes() == (2, 1, 1)
-
-    def test_rejects_nonzero_start(self):
-        with pytest.raises(ValueError):
-            SetPartition(m=2, labels=(1, 0))
-
-    def test_rejects_label_gap(self):
-        with pytest.raises(ValueError):
-            SetPartition(m=3, labels=(0, 2, 1))
+        assert blocks((0, 1, 0, 2)) == [[0, 2], [1], [3]]
+        assert block_sizes((0, 1, 0, 2)) == (2, 1, 1)
 
 
 class TestEnumeratePartitions:
     def test_m3_matches_worked_choices(self):
         # the five structures of three outsiders {a,b,c}
-        got = {frozenset(frozenset(block) for block in p.blocks())
+        got = {frozenset(frozenset(block) for block in blocks(p.labels))
                for p in enumerate_partitions(3)}
         a, b, c = 0, 1, 2
         expected = {
@@ -126,8 +127,9 @@ class TestEnumeratePartitions:
         assert first == second
 
     def test_all_canonical(self):
-        for p in enumerate_partitions(6):
-            SetPartition(m=6, labels=p.labels)  # revalidates restricted growth
+        # every restricted-growth string, each once and in order
+        for m in range(1, 9):
+            assert [p.labels for p in enumerate_partitions(m)] == list(rgs(m))
 
     def test_cap_exceeded_names_bell_number(self):
         with pytest.raises(EnumerationTooLarge, match="27644437"):
@@ -150,9 +152,10 @@ def brute_force_counts(m):
     multiplicity = [0] * (m + 1)
     choice = [0] * (m + 1)
     for part in enumerate_partitions(m):
-        for size in part.block_sizes():
+        sizes = block_sizes(part.labels)
+        for size in sizes:
             multiplicity[size] += 1
-        choice[part.block_sizes()[part.labels[0]]] += 1
+        choice[sizes[part.labels[0]]] += 1
     return tuple(multiplicity[1:]), tuple(choice[1:])
 
 

@@ -21,19 +21,9 @@ from coalition_forecast.oracle import (
 )
 from coalition_forecast.predictor import average_worth
 from coalition_forecast.worth import CharacteristicFunction, SymmetricWorth
+from partition_reference import blocks, rgs
 
 SYNERGY = SymmetricWorth(m=3, by_size=(0.0, 1.0, 1.0))
-
-
-def rgs(m):
-    """Test-local reference: every restricted-growth string of length m, in order."""
-    def extend(prefix, top):
-        if len(prefix) == m:
-            yield prefix
-            return
-        for lab in range(top + 2):
-            yield from extend(prefix + (lab,), max(top, lab))
-    yield from extend((0,), 0)
 
 
 def reference_multiplicities(m):
@@ -162,7 +152,7 @@ class TestOptimalStructure:
         best = optimal_structure(cf)
         for part in enumerate_partitions(4):
             total = sum(
-                entries[sum(1 << e for e in block)] for block in part.blocks()
+                entries[sum(1 << e for e in block)] for block in blocks(part.labels)
             )
             assert best.total_worth >= total
 

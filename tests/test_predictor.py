@@ -18,7 +18,7 @@ from coalition_forecast.predictor import (
     predict,
     residuals,
 )
-from coalition_forecast.worth import SymmetricWorth, per_capita
+from coalition_forecast.worth import SymmetricWorth, per_capita_vector
 
 BELL = build_bell_table(12)
 SYNERGY = SymmetricWorth(m=3, by_size=(0.0, 1.0, 1.0))
@@ -260,7 +260,7 @@ def test_sanity_against_float_matrix_path():
             np.testing.assert_allclose(average_worth(worth, BELL), tilde, atol=1e-12)
             np.testing.assert_allclose(
                 residuals(worth, BELL),
-                [per_capita(worth, k) - tilde for k in range(1, m + 1)],
+                [p - tilde for p in per_capita_vector(worth)],
                 atol=1e-12,
             )
 

@@ -15,7 +15,6 @@ from coalition_forecast.worth import (
     characteristic_from_coalitions,
     expand_to_characteristic,
     float_or_none,
-    per_capita,
     per_capita_vector,
     reduce_to_symmetric,
 )
@@ -41,13 +40,13 @@ class TestCharacteristicFunction:
             CharacteristicFunction(m=3, entries=entries)
 
     def test_worth_lookup(self):
-        assert synergy_game().worth([0, 1]) == 1.0
+        assert synergy_game().entries[0b011] == 1.0  # outsiders 0 and 1
 
     def test_from_coalition_records(self):
         records = [{"members": [0], "worth": 2.0}, {"members": [1], "worth": 2.0},
                    {"members": [0, 1], "worth": 5.0}]
         cf = characteristic_from_coalitions(2, records)
-        assert cf.worth([0, 1]) == 5.0
+        assert cf.entries == {0b01: 2.0, 0b10: 2.0, 0b11: 5.0}
 
     def test_duplicate_coalition_rejected(self):
         records = [{"members": [0], "worth": 1.0}, {"members": [0], "worth": 2.0},
@@ -104,31 +103,23 @@ class TestReduceToSymmetric:
 class TestPerCapita:
     def test_synergy_triple_share(self):
         worth = SymmetricWorth(m=3, by_size=(0.0, 1.0, 1.0))
-        assert per_capita(worth, 3) == pytest.approx(1 / 3)
+        assert per_capita_vector(worth)[2] == pytest.approx(1 / 3)
 
     def test_size_one_is_identity(self):
         worth = SymmetricWorth(m=2, by_size=(3.5, 1.0))
-        assert per_capita(worth, 1) == 3.5
+        assert per_capita_vector(worth)[0] == 3.5
 
     def test_synergy_vector(self):
         worth = SymmetricWorth(m=3, by_size=(0.0, 1.0, 1.0))
         assert per_capita_vector(worth) == (0.0, 0.5, 1 / 3)
-
-    def test_out_of_range(self):
-        worth = SymmetricWorth(m=2, by_size=(1.0, 1.0))
-        with pytest.raises(IndexError):
-            per_capita(worth, 3)
-        with pytest.raises(IndexError):
-            per_capita(worth, 0)
 
     @given(st.lists(finite_floats, min_size=1, max_size=6), st.floats(-100, 100))
     def test_scaling_linearity(self, by_size, lam):
         m = len(by_size)
         worth = SymmetricWorth(m=m, by_size=tuple(by_size))
         scaled = SymmetricWorth(m=m, by_size=tuple(lam * v for v in by_size))
-        for k in range(1, m + 1):
-            assert per_capita(scaled, k) == pytest.approx(lam * per_capita(worth, k),
-                                                          rel=1e-12, abs=1e-300)
+        for got, share in zip(per_capita_vector(scaled), per_capita_vector(worth)):
+            assert got == pytest.approx(lam * share, rel=1e-12, abs=1e-300)
 
 
 class TestSymmetricWorth:
