@@ -33,7 +33,6 @@ from .predictor import (
     evaluate_planes,
     hyperplane_system,
     predict,
-    residuals,
 )
 from .replicator import (
     DynamicsConfig,
@@ -46,14 +45,12 @@ from .replicator import (
     integrate,
     rest_point_check,
     uniform_frequencies,
-    vector_field,
 )
 from .worth import (
     CharacteristicFunction,
     SymmetricWorth,
     SymmetryViolation,
     characteristic_from_coalitions,
-    expand_to_characteristic,
     per_capita_vector,
     reduce_to_symmetric,
 )
@@ -84,7 +81,6 @@ __all__ = [
     "distances",
     "enumerate_partitions",
     "evaluate_planes",
-    "expand_to_characteristic",
     "hyperplane_system",
     "initial_frequencies",
     "integrate",
@@ -95,9 +91,7 @@ __all__ = [
     "predict",
     "rest_point_check",
     "reduce_to_symmetric",
-    "residuals",
     "uniform_frequencies",
-    "vector_field",
 ]
 
 __version__ = "0.1.0"

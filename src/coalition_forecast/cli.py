@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from .combinatorics import (
     EnumerationTooLarge,
@@ -46,10 +46,6 @@ EXIT_CAP = 4
 EXIT_ORACLE = 5
 
 
-class InputError(ValueError):
-    """Malformed game file or inconsistent agent counts."""
-
-
 class _JsonErrorParser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         _emit_error(EXIT_INPUT, message)
@@ -64,41 +60,26 @@ def _dump(obj: dict) -> None:
     print(json.dumps(obj, allow_nan=False))
 
 
-@dataclass(frozen=True)
-class GameInput:
-    """Validated game description: outsider count plus their worths."""
-
-    m: int
-    worth: SymmetricWorth
-
-    @staticmethod
-    def from_dict(obj: dict, tolerance: float = DEFAULT_SYMMETRY_TOLERANCE) -> "GameInput":
-        check_tolerance(tolerance)
-        if not isinstance(obj, dict):
-            raise InputError("game file must contain a JSON object")
-        m = _resolve_outsider_count(obj)
-        has_by_size = "by_size" in obj
-        has_coalitions = "coalitions" in obj
-        if has_by_size == has_coalitions:
-            raise InputError("provide exactly one of 'by_size' or 'coalitions'")
-        if has_by_size:
-            by_size = obj["by_size"]
-            if not isinstance(by_size, list) or len(by_size) != m:
-                raise InputError(f"'by_size' must be a list of {m} worths")
-            try:
-                worth = SymmetricWorth(m=m, by_size=tuple(worth_from_json(v) for v in by_size))
-            except ValueError as exc:
-                raise InputError(f"invalid 'by_size': {exc}") from exc
-        else:
-            coalitions = obj["coalitions"]
-            if not isinstance(coalitions, list):
-                raise InputError("'coalitions' must be a list of records")
-            try:
-                cf = characteristic_from_coalitions(m, coalitions)
-            except ValueError as exc:
-                raise InputError(str(exc)) from exc
-            worth = reduce_to_symmetric(cf, tolerance)
-        return GameInput(m=m, worth=worth)
+def game_worth(obj, tolerance: float = DEFAULT_SYMMETRY_TOLERANCE) -> SymmetricWorth:
+    """The outsiders' per-size worths from a parsed game file; ValueError if malformed."""
+    check_tolerance(tolerance)
+    if not isinstance(obj, dict):
+        raise ValueError("game file must contain a JSON object")
+    m = _resolve_outsider_count(obj)
+    if ("by_size" in obj) == ("coalitions" in obj):
+        raise ValueError("provide exactly one of 'by_size' or 'coalitions'")
+    if "by_size" in obj:
+        by_size = obj["by_size"]
+        if not isinstance(by_size, list) or len(by_size) != m:
+            raise ValueError(f"'by_size' must be a list of {m} worths")
+        try:
+            return SymmetricWorth(m=m, by_size=tuple(worth_from_json(v) for v in by_size))
+        except ValueError as exc:
+            raise ValueError(f"invalid 'by_size': {exc}") from exc
+    coalitions = obj["coalitions"]
+    if not isinstance(coalitions, list):
+        raise ValueError("'coalitions' must be a list of records")
+    return reduce_to_symmetric(characteristic_from_coalitions(m, coalitions), tolerance)
 
 
 def _resolve_outsider_count(obj: dict) -> int:
@@ -107,37 +88,36 @@ def _resolve_outsider_count(obj: dict) -> int:
     s = obj.get("s")
     for name, value in (("m", m), ("n", n), ("s", s)):
         if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-            raise InputError(f"'{name}' must be an integer")
+            raise ValueError(f"'{name}' must be an integer")
     if (n is None) != (s is None):
-        raise InputError("'n' and 's' must be given together")
+        raise ValueError("'n' and 's' must be given together")
     if n is not None:
         if not n > s >= 1:
-            raise InputError(f"need n > s >= 1, got n={n}, s={s}")
+            raise ValueError(f"need n > s >= 1, got n={n}, s={s}")
         if m is not None and m != n - s:
-            raise InputError(f"inconsistent counts: m={m} but n-s={n - s}")
+            raise ValueError(f"inconsistent counts: m={m} but n-s={n - s}")
         m = n - s
     if m is None:
-        raise InputError("provide 'm', or 'n' together with 's'")
+        raise ValueError("provide 'm', or 'n' together with 's'")
     if m < 1:
-        raise InputError(f"'m' must be positive, got {m}")
+        raise ValueError(f"'m' must be positive, got {m}")
     return m
 
 
-def _load_game(path: str, tolerance: float) -> GameInput:
+def _load_game(path: str, tolerance: float) -> SymmetricWorth:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             obj = json.load(handle)
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise InputError(f"invalid JSON in {path}: {exc}") from exc
-    return GameInput.from_dict(obj, tolerance)
+        raise ValueError(f"invalid JSON in {path}: {exc}") from exc
+    return game_worth(obj, tolerance)
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    game = _load_game(args.game, args.tolerance)
-    bell = build_bell_table(game.m)
-    report = predict(game.worth, bell)
+    worth = _load_game(args.game, args.tolerance)
+    report = predict(worth, build_bell_table(worth.m))
     _dump(report.to_dict())
     return EXIT_OK
 
@@ -156,23 +136,22 @@ def _cmd_planes(args: argparse.Namespace) -> int:
 
 
 def _cmd_average(args: argparse.Namespace) -> int:
-    game = _load_game(args.game, args.tolerance)
-    bell = build_bell_table(game.m)
-    _dump({"v_tilde": average_worth(game.worth, bell)})
+    worth = _load_game(args.game, args.tolerance)
+    _dump({"v_tilde": average_worth(worth, build_bell_table(worth.m))})
     return EXIT_OK
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    game = _load_game(args.game, args.tolerance)
-    bell = build_bell_table(game.m)
+    worth = _load_game(args.game, args.tolerance)
+    bell = build_bell_table(worth.m)
     mode = Mode.PAPER_CONSTANT_AVERAGE if args.mode == "paper" else Mode.FREQUENCY_WEIGHTED
     config = DynamicsConfig(mode=mode, step_size=args.step, horizon=args.horizon,
                             record_every=args.record_every)
     if args.init == "uniform":
-        start = uniform_frequencies(game.m)
+        start = uniform_frequencies(worth.m)
     else:
-        start = initial_frequencies(game.m, bell)
-    trajectory = integrate(start, game.worth, config, bell)
+        start = initial_frequencies(worth.m, bell)
+    trajectory = integrate(start, worth, config, bell)
     for state in trajectory.states:
         print(json.dumps({"t": state.time, "x": list(state.frequencies)},
                          allow_nan=False))
@@ -272,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
     except (EnumerationTooLarge, TooManySamples) as exc:
         _emit_error(EXIT_CAP, str(exc))
         return EXIT_CAP
-    except (InputError, IntegrationError, ValueError) as exc:
+    except (IntegrationError, ValueError) as exc:
         _emit_error(EXIT_INPUT, str(exc))
         return EXIT_INPUT
 

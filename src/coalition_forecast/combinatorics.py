@@ -63,12 +63,12 @@ def build_bell_table(max_index: int) -> BellTable:
 class SetPartition:
     """One partition of {0,..,m-1} in canonical restricted-growth form.
 
-    labels[i] is the block index of element i; labels[0] == 0 and each new
-    block index is introduced in order, so equal partitions have equal label
-    sequences. Only the walker builds them: canonical by construction.
+    labels[i] is the block index of element i, so m is len(labels);
+    labels[0] == 0 and each new block index is introduced in order, so equal
+    partitions have equal label sequences. Only the walker builds them:
+    canonical by construction.
     """
 
-    m: int
     labels: tuple[int, ...]
 
 
@@ -120,7 +120,12 @@ def _rgs_prefixes(m: int) -> Iterator[tuple[list[int], list[int], list[int], int
 
 
 def _check_cap(m: int, cap: int | None) -> None:
-    """m against the cap: the argument, else COALITION_FORECAST_ENUM_CAP, else 12."""
+    """m against the cap: the argument, else COALITION_FORECAST_ENUM_CAP, else 12.
+
+    Callers check it before any work, so it computes nothing that grows with m.
+    """
+    if m < 1:
+        raise ValueError("m must be positive")
     source, effective = "the enumeration cap", cap
     if cap is None:
         source, effective = _CAP_ENV_VAR, os.environ.get(_CAP_ENV_VAR, DEFAULT_ENUMERATION_CAP)
@@ -131,11 +136,7 @@ def _check_cap(m: int, cap: int | None) -> None:
     if isinstance(effective, str) or effective < 1:
         raise ValueError(f"{source} must be a positive integer, got {effective!r}")
     if m > effective:
-        bell_m = build_bell_table(m)[m]
-        raise EnumerationTooLarge(
-            f"enumeration too large: m={m} has B_{m} = {bell_m} partitions "
-            f"(cap is m={effective})"
-        )
+        raise EnumerationTooLarge(f"enumeration too large: m={m} exceeds the cap m={effective}")
 
 
 def enumerate_partitions(m: int, cap: int | None = None) -> Iterator[SetPartition]:
@@ -146,15 +147,13 @@ def enumerate_partitions(m: int, cap: int | None = None) -> Iterator[SetPartitio
     overridable via the COALITION_FORECAST_ENUM_CAP environment variable
     or the cap argument).
     """
-    if m < 1:
-        raise ValueError("m must be positive")
     _check_cap(m, cap)
 
     def generate() -> Iterator[SetPartition]:
         for labels, _, _, nb in _rgs_prefixes(m):
             prefix = tuple(labels)
             for last in range(nb + 1):
-                yield SetPartition(m=m, labels=prefix + (last,))
+                yield SetPartition(labels=prefix + (last,))
 
     return generate()
 

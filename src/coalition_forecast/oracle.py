@@ -77,8 +77,6 @@ def brute_force_average(worth: SymmetricWorth, cap: int | None = None) -> float:
 
 def brute_force_multiplicities(m: int, cap: int | None = None) -> PartitionStats:
     """Block-size and fixed-agent counts recomputed by raw enumeration."""
-    if m < 1:
-        raise ValueError("m must be positive")
     _check_cap(m, cap)
     return _scan_stats(m)
 
@@ -125,7 +123,7 @@ def optimal_structure(cf: CharacteristicFunction, cap: int | None = None) -> Opt
     except SymmetryViolation:
         predicted = None
     return OptimalStructureResult(
-        partition=SetPartition(m=m, labels=best_labels),
+        partition=SetPartition(labels=best_labels),
         total_worth=float_or_none(best_total, den),
         predicted_size=predicted,
     )
@@ -175,8 +173,8 @@ def oracle_suite(m: int, trials: int = 1000, seed: int = 0,
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    enumerated = brute_force_multiplicities(m, cap=cap)  # the cap, before any work
     bell = build_bell_table(m)
-    enumerated = brute_force_multiplicities(m, cap=cap)
     closed = partition_stats(m, bell)
     n_partitions = sum(enumerated.choice_counts)
 

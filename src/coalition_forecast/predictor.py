@@ -101,11 +101,6 @@ def _in_float_range(name: str, ratios) -> tuple[float, ...]:
     return tuple(values)
 
 
-def residuals(worth: SymmetricWorth, bell: BellTable) -> tuple[float, ...]:
-    """Per-size deviations v(k)/k - average worth, exact core."""
-    return _in_float_range("residuals", _exact_average(worth, bell)[4])
-
-
 def evaluate_planes(point: SymmetricWorth, system: HyperplaneSystem) -> tuple[float, ...]:
     """Signed value of each plane's linear form at the point.
 

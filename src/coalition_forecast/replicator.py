@@ -85,7 +85,6 @@ class DynamicsConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    config: DynamicsConfig
     states: tuple[ReplicatorState, ...]
     terminal_residuals: tuple[float | None, ...]  # None: beyond the float range
     clamp_events: int
@@ -114,40 +113,15 @@ def uniform_frequencies(m: int) -> ReplicatorState:
     return ReplicatorState(time=0.0, frequencies=(1.0 / m,) * m)
 
 
-def _payoff_deviation(x, payoffs, mode: Mode, constant_average: float) -> list[float | None]:
-    """p_k minus the average, None where that lies beyond the float range."""
+def _payoff_deviation(x, payoffs, mode: Mode, worth: SymmetricWorth,
+                      bell: BellTable) -> list[float | None]:
+    """p_k minus the mode's average, None where that lies beyond the float range."""
     if mode is Mode.PAPER_CONSTANT_AVERAGE:
-        average = constant_average
+        average = average_worth(worth, bell)
     else:  # the exact mean, rounded once; off the simplex it may lie beyond the range
         (xs, x_den), (ps, p_den) = dyadic(x), dyadic(payoffs)
         average = float_or_none(sum(a * p for a, p in zip(xs, ps)), x_den * p_den)
     return [None if average is None else float_or_none(p - average) for p in payoffs]
-
-
-def _deviation_and_growth(state: ReplicatorState, worth: SymmetricWorth, mode: Mode,
-                          bell: BellTable) -> tuple[list[float | None], list[float | None]]:
-    """Payoff deviations and growth rates x_k * deviation_k at a state.
-
-    A value beyond the float range is None; an extinct strategy's rate is
-    0.0, whatever its deviation.
-    """
-    if state.m != worth.m:
-        raise ValueError(f"state has m={state.m} but worth has m={worth.m}")
-    x = state.frequencies
-    avg = average_worth(worth, bell) if mode is Mode.PAPER_CONSTANT_AVERAGE else 0.0
-    deviation = _payoff_deviation(x, per_capita_vector(worth), mode, avg)
-    growth = [0.0 if xk == 0.0 else None if dev is None else float_or_none(xk * dev)
-              for xk, dev in zip(x, deviation)]
-    return deviation, growth
-
-
-def vector_field(state: ReplicatorState, worth: SymmetricWorth, mode: Mode,
-                 bell: BellTable) -> tuple[float | None, ...]:
-    """Growth rate dx_k/dt = x_k * (per-capita payoff - average).
-
-    A rate beyond the float range is None; an extinct strategy's rate is 0.0.
-    """
-    return tuple(_deviation_and_growth(state, worth, mode, bell)[1])
 
 
 def integrate(start: ReplicatorState, worth: SymmetricWorth,
@@ -189,8 +163,8 @@ def integrate(start: ReplicatorState, worth: SymmetricWorth,
     for t in times:
         try:
             x = [xk * math.exp(r * t) for xk, r in zip(x0, rates)]
-            if weighted:
-                total = sum(x)  # at least the top strategy's x_k(0) > 0
+            if weighted:  # fsum rounds once, so every Python prints the same bytes
+                total = math.fsum(x)  # at least the top strategy's x_k(0) > 0
                 x = [xk / total for xk in x]
             states.append(ReplicatorState(time=t, frequencies=tuple(x)))
         except (OverflowError, ValueError):  # math.exp, or ReplicatorState on inf
@@ -198,12 +172,15 @@ def integrate(start: ReplicatorState, worth: SymmetricWorth,
                                    f"exp((p_k - v~) t) leaves the float range") from None
 
     terminal = states[-1].frequencies
+    try:
+        drift = max(abs(math.fsum(state.frequencies) - 1.0) for state in states)
+    except OverflowError:  # a total beyond the float range
+        drift = math.inf
     return Trajectory(
-        config=config,
         states=tuple(states),
-        terminal_residuals=tuple(_payoff_deviation(terminal, payoffs, config.mode, shift)),
+        terminal_residuals=tuple(_payoff_deviation(terminal, payoffs, config.mode, worth, bell)),
         clamp_events=0,
-        max_simplex_drift=max(abs(sum(state.frequencies) - 1.0) for state in states),
+        max_simplex_drift=drift,
     )
 
 
@@ -217,13 +194,23 @@ class RestPointReport:
 
 def rest_point_check(state: ReplicatorState, worth: SymmetricWorth, mode: Mode,
                      bell: BellTable, tolerance: float) -> RestPointReport:
-    """Is the state a rest point: every strategy extinct or at the average?"""
+    """Is the state a rest point: every strategy extinct or at the average?
+
+    growth_rates is the replicator field dx_k/dt = x_k * (p_k - average): a
+    rate beyond the float range is None, and an extinct strategy's rate is
+    0.0, whatever its deviation.
+    """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    deviation, growth = _deviation_and_growth(state, worth, mode, bell)
+    if state.m != worth.m:
+        raise ValueError(f"state has m={state.m} but worth has m={worth.m}")
+    x = state.frequencies
+    deviation = _payoff_deviation(x, per_capita_vector(worth), mode, worth, bell)
+    growth = [0.0 if xk == 0.0 else None if dev is None else float_or_none(xk * dev)
+              for xk, dev in zip(x, deviation)]
 
     statuses = []
-    for xk, dev in zip(state.frequencies, deviation):
+    for xk, dev in zip(x, deviation):
         if xk == 0.0:
             statuses.append("extinct")
         elif dev is not None and abs(dev) <= tolerance:

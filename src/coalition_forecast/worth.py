@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 DEFAULT_SYMMETRY_TOLERANCE = 1e-9
@@ -29,20 +30,6 @@ class SymmetryViolation(ValueError):
             f"symmetry violation: v({set(coalition_a)}) = {worth_a} but "
             f"v({set(coalition_b)}) = {worth_b} (gap {self.gap})"
         )
-
-
-def members_to_mask(members: Iterable[int], m: int) -> int:
-    mask = 0
-    for elem in members:
-        if not 0 <= elem < m:
-            raise ValueError(f"member {elem} outside 0..{m - 1}")
-        bit = 1 << elem
-        if mask & bit:
-            raise ValueError(f"member {elem} listed twice")
-        mask |= bit
-    if mask == 0:
-        raise ValueError("coalition must be non-empty")
-    return mask
 
 
 def mask_to_members(mask: int) -> tuple[int, ...]:
@@ -117,8 +104,8 @@ def reduce_to_symmetric(cf: CharacteristicFunction,
         groups[mask.bit_count() - 1].append((mask, value))
     by_size = []
     for group in groups:
-        lo = min(group, key=lambda item: item[1])
-        hi = max(group, key=lambda item: item[1])
+        lo = min(group, key=itemgetter(1))
+        hi = max(group, key=itemgetter(1))
         if not _agree(lo[1], hi[1], tolerance):
             raise SymmetryViolation(mask_to_members(lo[0]), lo[1],
                                     mask_to_members(hi[0]), hi[1])
@@ -128,13 +115,6 @@ def reduce_to_symmetric(cf: CharacteristicFunction,
             numerators, den = dyadic(value for _, value in group)  # the exact mean, finite
             by_size.append(sum(numerators) / (den * len(group)))
     return SymmetricWorth(m=cf.m, by_size=tuple(by_size))
-
-
-def expand_to_characteristic(worth: SymmetricWorth) -> CharacteristicFunction:
-    """Characteristic function giving every size-k coalition the worth v(k)."""
-    entries = {mask: worth.by_size[mask.bit_count() - 1]
-               for mask in range(1, 1 << worth.m)}
-    return CharacteristicFunction(m=worth.m, entries=entries)
 
 
 def worth_from_json(value) -> float:
@@ -151,8 +131,9 @@ def worth_from_json(value) -> float:
 def characteristic_from_coalitions(m: int, coalitions: Iterable[Mapping]) -> CharacteristicFunction:
     """Build a characteristic function from explicit coalition records.
 
-    Each record carries "members" (list of outsider indices) and "worth".
-    Every non-empty subset must appear exactly once.
+    Each record carries "members", a list of distinct outsider indices
+    (integers, never booleans), and "worth". Every non-empty subset must
+    appear exactly once.
     """
     entries: dict[int, float] = {}
     for record in coalitions:
@@ -165,7 +146,20 @@ def characteristic_from_coalitions(m: int, coalitions: Iterable[Mapping]) -> Cha
             raise ValueError(f"coalition record {record!r} needs 'members' and 'worth'") from exc
         except ValueError as exc:
             raise ValueError(f"coalition record {record!r}: {exc}") from None
-        mask = members_to_mask(members, m)
+        if not isinstance(members, list):
+            raise ValueError(f"'members' must be a list of integers, not {members!r}")
+        mask = 0
+        for elem in members:  # inline, not a call per record: large coalition files stay fast
+            if type(elem) is not int:  # nor a bool, whose type is bool
+                raise ValueError(f"'members' must be a list of integers, not {members!r}")
+            if not 0 <= elem < m:
+                raise ValueError(f"member {elem} outside 0..{m - 1}")
+            bit = 1 << elem
+            if mask & bit:
+                raise ValueError(f"member {elem} listed twice")
+            mask |= bit
+        if mask == 0:
+            raise ValueError("coalition must be non-empty")
         if mask in entries:
             raise ValueError(f"coalition {tuple(sorted(members))} listed twice")
         entries[mask] = value

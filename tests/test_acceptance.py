@@ -20,7 +20,6 @@ from coalition_forecast.predictor import (
     evaluate_planes,
     hyperplane_system,
     predict,
-    residuals,
 )
 from coalition_forecast.replicator import (
     DynamicsConfig,
@@ -28,7 +27,7 @@ from coalition_forecast.replicator import (
     ReplicatorState,
     initial_frequencies,
     integrate,
-    vector_field,
+    rest_point_check,
 )
 from coalition_forecast.worth import SymmetricWorth
 
@@ -125,7 +124,7 @@ def test_criterion_5_residual_identity_and_distance_consistency():
             for _ in range(1000):
                 worth = random_worth(rng, m)
                 via_rows = evaluate_planes(worth, system)
-                via_payoffs = residuals(worth, bell)
+                via_payoffs = predict(worth, bell).residuals
                 d = distances(worth, system)
                 for a, b, dk, nk in zip(via_rows, via_payoffs, d, system.row_norms):
                     assert rel_gap(a, b) <= 1e-12
@@ -178,10 +177,11 @@ def test_criterion_7_replicator_properties():
         config = DynamicsConfig(mode=Mode.PAPER_CONSTANT_AVERAGE, step_size=0.01,
                                 horizon=200.0, record_every=100)
         trajectory = integrate(pushforward, SYNERGY, config, BELL)
-        signs = [math.copysign(1, e) for e in residuals(SYNERGY, BELL)]
+        signs = [math.copysign(1, e) for e in predict(SYNERGY, BELL).residuals]
         assert signs == [-1.0, 1.0, 1.0]
         for state in trajectory.states:
-            field = vector_field(state, SYNERGY, Mode.PAPER_CONSTANT_AVERAGE, BELL)
+            field = rest_point_check(state, SYNERGY, Mode.PAPER_CONSTANT_AVERAGE, BELL,
+                                     1e-9).growth_rates
             for xk, fk, sign in zip(state.frequencies, field, signs):
                 if xk > 0:
                     assert math.copysign(1, fk) == sign

@@ -1,11 +1,15 @@
 """CLI subcommands, JSON I/O, and exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coalition_forecast
 from coalition_forecast import cli
@@ -151,6 +155,18 @@ class TestPredict:
         assert code == 2 and out == ""
         assert "tolerance must be non-negative" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize("members", ["ab", [0.5], None, [[0]], [True]])
+    def test_members_must_be_a_list_of_integers(self, capsys, tmp_path, members):
+        game = {"m": 2, "coalitions": [{"members": [0], "worth": 1.0},
+                                       {"members": members, "worth": 1.0},
+                                       {"members": [0, 1], "worth": 1.0}]}
+        path = tmp_path / "members.json"
+        path.write_text(json.dumps(game))
+        code, out, err = run(capsys, "predict", str(path))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert "'members' must be a list of integers" in json.loads(err)["message"]
+
     def test_symmetry_violation_exit_code(self, capsys, tmp_path):
         game = {
             "m": 2,
@@ -170,32 +186,31 @@ class TestPredict:
 
 class TestGameInput:
     def test_m_and_ns_consistent(self):
-        game = cli.GameInput.from_dict({"n": 5, "s": 2, "m": 3, "by_size": [1, 2, 3]})
-        assert game.m == 3
+        assert cli.game_worth({"n": 5, "s": 2, "m": 3, "by_size": [1, 2, 3]}).m == 3
 
     def test_m_inconsistent_with_ns(self):
-        with pytest.raises(cli.InputError, match="inconsistent"):
-            cli.GameInput.from_dict({"n": 5, "s": 1, "m": 3, "by_size": [1, 2, 3]})
+        with pytest.raises(ValueError, match="inconsistent"):
+            cli.game_worth({"n": 5, "s": 1, "m": 3, "by_size": [1, 2, 3]})
 
     def test_n_without_s(self):
-        with pytest.raises(cli.InputError, match="together"):
-            cli.GameInput.from_dict({"n": 5, "by_size": [1]})
+        with pytest.raises(ValueError, match="together"):
+            cli.game_worth({"n": 5, "by_size": [1]})
 
     def test_n_not_greater_than_s(self):
-        with pytest.raises(cli.InputError, match="n > s"):
-            cli.GameInput.from_dict({"n": 2, "s": 2, "by_size": []})
+        with pytest.raises(ValueError, match="n > s"):
+            cli.game_worth({"n": 2, "s": 2, "by_size": []})
 
     def test_neither_m_nor_ns(self):
-        with pytest.raises(cli.InputError, match="provide"):
-            cli.GameInput.from_dict({"by_size": [1]})
+        with pytest.raises(ValueError, match="provide"):
+            cli.game_worth({"by_size": [1]})
 
     def test_both_worth_schemas_rejected(self):
-        with pytest.raises(cli.InputError, match="exactly one"):
-            cli.GameInput.from_dict({"m": 1, "by_size": [1], "coalitions": []})
+        with pytest.raises(ValueError, match="exactly one"):
+            cli.game_worth({"m": 1, "by_size": [1], "coalitions": []})
 
     def test_wrong_by_size_length(self):
-        with pytest.raises(cli.InputError, match="list of 2"):
-            cli.GameInput.from_dict({"m": 2, "by_size": [1.0]})
+        with pytest.raises(ValueError, match="list of 2"):
+            cli.game_worth({"m": 2, "by_size": [1.0]})
 
 
 class TestAverage:
@@ -260,6 +275,16 @@ class TestSimulate:
         assert payload["error"] == 4
         assert "1000000 samples" in payload["message"]
 
+    def test_weighted_output_is_the_same_on_every_python(self, capsys, tmp_path):
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps({"n": 6, "s": 1, "by_size": [0.5, 1.25, -2, 3, 7.5]}))
+        code, out, _ = run(capsys, "simulate", str(path), "--mode", "weighted", "--step", "0.05",
+                           "--horizon", "50", "--record-every", "10")
+        assert code == 0
+        assert out.splitlines()[2] == (
+            '{"t": 1.0, "x": [0.30454261091888124, 0.4601226512742169, 0.07586844068760688, '
+            '0.10427745410247714, 0.05518884301681788]}')
+
     def test_bad_step_rejected(self, capsys, game_file):
         code, _, err = run(capsys, "simulate", game_file, "--step", "5",
                            "--horizon", "1")
@@ -284,7 +309,14 @@ class TestEnumerate:
         assert code == 4
         payload = json.loads(err)
         assert payload["error"] == 4
-        assert "27644437" in payload["message"]
+        assert payload["message"] == "enumeration too large: m=13 exceeds the cap m=12"
+
+    @pytest.mark.parametrize("command", ["enumerate", "verify"])
+    def test_cap_checked_before_any_work(self, capsys, command):
+        # B_5000 is far too large to build or print: the check must come first
+        code, out, err = run(capsys, command, "--m", "5000")
+        assert code == 4 and out == ""
+        assert json.loads(err)["message"] == "enumeration too large: m=5000 exceeds the cap m=12"
 
     def test_cap_override(self, capsys):
         code, _, err = run(capsys, "enumerate", "--m", "4", "--cap", "3")
@@ -389,3 +421,101 @@ class TestParserErrors:
         code, _, err = run(capsys, "planes")
         assert code == 2
         assert json.loads(err)["error"] == 2
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+# integers stay small as counts (a game's m is shifted as 1 << m) or lie beyond the float range
+INTEGERS = st.integers(-10 ** 6, 10 ** 6) | st.sampled_from([2 ** 1024, -2 ** 1024])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | INTEGERS | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+NUMBERS = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10, 10)
+
+
+@st.composite
+def game_files(draw, fault):
+    """A valid game, or one broken by `fault`: arbitrary JSON, a bad count, or bad items."""
+    if fault == "json":
+        return draw(JSON_VALUES)
+    kind = draw(st.sampled_from(["by_size", "coalitions"]))
+    m = draw(st.integers(1, 9 if kind == "by_size" else 3))
+    counts = draw(st.sampled_from([{"m": m}, {"n": m + 2, "s": 2}, {"m": m, "n": m + 2, "s": 2}]))
+    if fault == "count":
+        counts[draw(st.sampled_from(sorted(counts)))] = draw(JSON_VALUES)
+    if kind == "by_size":
+        items = draw(st.lists(NUMBERS, min_size=m, max_size=m))
+        bad = JSON_VALUES
+    else:
+        by_size = draw(st.lists(NUMBERS, min_size=m, max_size=m))
+        items = [{"members": [i for i in range(m) if mask >> i & 1],
+                  "worth": by_size[mask.bit_count() - 1]} for mask in range(1, 1 << m)]
+        members = st.lists(st.integers(-1, m) | JSON_VALUES, min_size=1, max_size=m) | JSON_VALUES
+        bad = st.fixed_dictionaries({"members": members, "worth": NUMBERS | JSON_VALUES})
+    for _ in range(draw(st.integers(1, 2)) if fault == "items" else 0):
+        index = draw(st.integers(0, len(items)))  # replace an item, or insert one
+        items[index:index + draw(st.integers(0, 1))] = [draw(bad)]
+    return {**counts, kind: items}
+
+
+@st.composite
+def cli_calls(draw):
+    """argv for every command at small sizes, with the game file to go with it.
+
+    At most one thing is out of range or malformed: the game, or one option.
+    """
+    pick = lambda *values: draw(st.sampled_from(values))  # noqa: E731
+    command = pick("predict", "average", "simulate", "planes", "stats", "enumerate", "verify")
+    if command in ("planes", "stats"):
+        return [command, "--m", str(draw(st.integers(-2, 9)))], None
+    if command in ("enumerate", "verify"):
+        argv = [command, "--m", str(draw(st.integers(-2, 8) | st.integers(13, 5000)))]
+        argv += pick([], ["--cap", "-1"], ["--cap", "0"], ["--cap", "3"], ["--cap", "12"],
+                     ["--cap", "x"])
+        if command == "verify":
+            argv += ["--trials", pick("1", "3", "0"), "--seed", str(draw(st.integers(-3, 3)))]
+        return argv, None
+    options = {"--tolerance": pick("1e-9", "0", "inf")}
+    if command == "simulate":
+        options.update({"--mode": pick("paper", "weighted"), "--init": pick("structure", "uniform"),
+                        "--step": pick("0.1", "0.5"), "--horizon": pick("3", "20"),
+                        "--record-every": pick("1", "4")})
+    fault = pick(None, "json", "count", "items", "items", "option")
+    if fault == "option":
+        options[pick(*options)] = pick("-1", "0", "nan", "1e-300", "1e300", "x")
+    argv = [command, "GAME", *(item for option in options.items() for item in option)]
+    return argv, draw(game_files(fault))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(call=cli_calls())
+def test_error_contract_holds_for_any_input(tmp_path_factory, call):
+    """Every call ends in a documented exit code, with one JSON error line or strict JSON out."""
+    argv, game = call
+    if "GAME" in argv:
+        path = tmp_path_factory.getbasetemp() / "fuzz-game.json"
+        path.write_text(json.dumps(game))
+        argv = [str(path) if arg == "GAME" else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 4, 5)
+    if code in (2, 3, 4):
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        payload = _strict_json(lines[0])
+        assert list(payload) == ["error", "message"]
+        assert payload["error"] == code and isinstance(payload["message"], str)
+    else:
+        assert err.getvalue() == ""
+        if argv[0] != "enumerate":
+            for line in out.getvalue().splitlines():
+                _strict_json(line)

@@ -13,7 +13,7 @@ from coalition_forecast.combinatorics import (
     enumerate_partitions,
     partition_stats,
 )
-from coalition_forecast.predictor import average_worth, hyperplane_system, predict, residuals
+from coalition_forecast.predictor import average_worth, hyperplane_system, predict
 from coalition_forecast.replicator import initial_frequencies
 from coalition_forecast.worth import SymmetricWorth
 from partition_reference import block_sizes, blocks, rgs
@@ -131,12 +131,13 @@ class TestEnumeratePartitions:
         for m in range(1, 9):
             assert [p.labels for p in enumerate_partitions(m)] == list(rgs(m))
 
-    def test_cap_exceeded_names_bell_number(self):
-        with pytest.raises(EnumerationTooLarge, match="27644437"):
+    def test_cap_exceeded_names_m_and_cap(self):
+        with pytest.raises(EnumerationTooLarge, match="^enumeration too large: m=13 exceeds "
+                                                      "the cap m=12$"):
             enumerate_partitions(13)
 
     def test_cap_override(self):
-        with pytest.raises(EnumerationTooLarge, match="52"):
+        with pytest.raises(EnumerationTooLarge, match="m=5 exceeds the cap m=4"):
             enumerate_partitions(5, cap=4)
         assert sum(1 for _ in enumerate_partitions(5, cap=5)) == 52
 
@@ -198,7 +199,7 @@ WORTH_5 = SymmetricWorth(m=5, by_size=(0.0, 1.0, 1.0, 2.0, 3.0))
 CLOSED_FORMS = {
     "partition_stats": lambda bell: partition_stats(5, bell),
     "average_worth": lambda bell: average_worth(WORTH_5, bell),
-    "residuals": lambda bell: residuals(WORTH_5, bell),
+    "residuals": lambda bell: predict(WORTH_5, bell).residuals,
     "predict": lambda bell: predict(WORTH_5, bell),
     "hyperplane_system": lambda bell: hyperplane_system(5, bell),
     "initial_frequencies": lambda bell: initial_frequencies(5, bell),

@@ -16,7 +16,6 @@ from coalition_forecast.predictor import (
     evaluate_planes,
     hyperplane_system,
     predict,
-    residuals,
 )
 from coalition_forecast.worth import SymmetricWorth, per_capita_vector
 
@@ -99,14 +98,14 @@ class TestHyperplaneSystem:
 class TestResiduals:
     def test_synergy_point(self):
         expected = (float(Fraction(-4, 15)), float(Fraction(7, 30)), float(Fraction(1, 15)))
-        assert residuals(SYNERGY, BELL) == expected
+        assert predict(SYNERGY, BELL).residuals == expected
 
     def test_constant_per_capita_game(self):
         worth = SymmetricWorth(m=4, by_size=(2.0, 4.0, 6.0, 8.0))  # v(k) = 2k
-        assert residuals(worth, BELL) == (0.0, 0.0, 0.0, 0.0)
+        assert predict(worth, BELL).residuals == (0.0, 0.0, 0.0, 0.0)
 
     def test_single_outsider(self):
-        assert residuals(SymmetricWorth(m=1, by_size=(3.0,)), BELL) == (0.0,)
+        assert predict(SymmetricWorth(m=1, by_size=(3.0,)), BELL).residuals == (0.0,)
 
 
 class TestDistances:
@@ -146,13 +145,11 @@ class TestDistances:
         (6, distances, "distances", [1, 2]),
         (8, distances, "plane values", [1]),
         (8, evaluate_planes, "plane values", [1]),
-        (8, residuals, "residuals", [1]),
     ])
     def test_matrix_path_rejects_values_beyond_float_range(self, m, function, name, sizes):
         worth = SymmetricWorth(m=m, by_size=(1.7e308,) + (-1.7e308,) * (m - 1))
-        second = BELL if function is residuals else hyperplane_system(m, BELL)
         with pytest.raises(ValueError, match=re.escape(f"{name} for sizes {sizes} lie beyond")):
-            function(worth, second)
+            function(worth, hyperplane_system(m, BELL))
 
 
 class TestPredict:
@@ -217,7 +214,7 @@ def test_residual_identity(by_size):
     worth = SymmetricWorth(m=m, by_size=tuple(by_size))
     system = hyperplane_system(m, BELL)
     via_rows = evaluate_planes(worth, system)
-    via_payoffs = residuals(worth, BELL)
+    via_payoffs = predict(worth, BELL).residuals
     for a, b in zip(via_rows, via_payoffs):
         assert rel_gap(a, b) <= 1e-12
 
@@ -229,7 +226,7 @@ def test_distance_consistency(by_size):
     worth = SymmetricWorth(m=m, by_size=tuple(by_size))
     system = hyperplane_system(m, BELL)
     d = distances(worth, system)
-    eps = residuals(worth, BELL)
+    eps = predict(worth, BELL).residuals
     for dk, ek, nk in zip(d, eps, system.row_norms):
         assert rel_gap(dk, abs(ek) / nk) <= 1e-12
 
@@ -259,7 +256,7 @@ def test_sanity_against_float_matrix_path():
             tilde /= m * BELL[m]
             np.testing.assert_allclose(average_worth(worth, BELL), tilde, atol=1e-12)
             np.testing.assert_allclose(
-                residuals(worth, BELL),
+                predict(worth, BELL).residuals,
                 [p - tilde for p in per_capita_vector(worth)],
                 atol=1e-12,
             )

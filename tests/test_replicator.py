@@ -17,7 +17,6 @@ from coalition_forecast.replicator import (
     integrate,
     rest_point_check,
     uniform_frequencies,
-    vector_field,
 )
 from coalition_forecast.worth import SymmetricWorth
 
@@ -26,6 +25,11 @@ BELL_8 = build_bell_table(8)
 SYNERGY = SymmetricWorth(m=3, by_size=(0.0, 1.0, 1.0))
 # v(k) = 2k: every coalition size pays the same per head
 FLAT = SymmetricWorth(m=3, by_size=(2.0, 4.0, 6.0))
+
+
+def growth(state, worth, mode, bell):
+    """The replicator field dx_k/dt at a state: rest_point_check's growth rates."""
+    return rest_point_check(state, worth, mode, bell, 1e-9).growth_rates
 
 
 class TestInitialFrequencies:
@@ -50,24 +54,24 @@ class TestInitialFrequencies:
 class TestVectorField:
     def test_flat_game_is_stationary_in_both_modes(self):
         state = ReplicatorState(time=0.0, frequencies=(0.4, 0.4, 0.2))
-        assert vector_field(state, FLAT, Mode.PAPER_CONSTANT_AVERAGE, BELL) == (0.0, 0.0, 0.0)
-        assert vector_field(state, FLAT, Mode.FREQUENCY_WEIGHTED, BELL) == (0.0, 0.0, 0.0)
+        assert growth(state, FLAT, Mode.PAPER_CONSTANT_AVERAGE, BELL) == (0.0, 0.0, 0.0)
+        assert growth(state, FLAT, Mode.FREQUENCY_WEIGHTED, BELL) == (0.0, 0.0, 0.0)
 
     def test_extinct_strategy_has_zero_growth(self):
         state = ReplicatorState(time=0.0, frequencies=(0.5, 0.0, 0.5))
-        field = vector_field(state, SYNERGY, Mode.FREQUENCY_WEIGHTED, BELL)
+        field = growth(state, SYNERGY, Mode.FREQUENCY_WEIGHTED, BELL)
         assert field[1] == 0.0
 
     def test_synergy_constant_mode_field(self):
         state = ReplicatorState(time=0.0, frequencies=(0.4, 0.4, 0.2))
-        field = vector_field(state, SYNERGY, Mode.PAPER_CONSTANT_AVERAGE, BELL)
+        field = growth(state, SYNERGY, Mode.PAPER_CONSTANT_AVERAGE, BELL)
         expected = (0.4 * (-4 / 15), 0.4 * (7 / 30), 0.2 * (1 / 15))
         assert field == pytest.approx(expected, rel=1e-12)
 
     def test_dimension_mismatch(self):
         state = ReplicatorState(time=0.0, frequencies=(1.0,))
         with pytest.raises(ValueError):
-            vector_field(state, SYNERGY, Mode.PAPER_CONSTANT_AVERAGE, BELL)
+            growth(state, SYNERGY, Mode.PAPER_CONSTANT_AVERAGE, BELL)
 
 
 class TestIntegrate:
@@ -100,7 +104,7 @@ class TestIntegrate:
                                 horizon=50.0, record_every=100)
         trajectory = integrate(start, SYNERGY, config, BELL)
         for state in trajectory.states:
-            field = vector_field(state, SYNERGY, Mode.PAPER_CONSTANT_AVERAGE, BELL)
+            field = growth(state, SYNERGY, Mode.PAPER_CONSTANT_AVERAGE, BELL)
             x = state.frequencies
             if x[0] > 0:
                 assert field[0] < 0
@@ -122,7 +126,7 @@ class TestIntegrate:
         trajectory = integrate(start, SYNERGY, config, BELL)
         for state in trajectory.states:
             assert abs(sum(state.frequencies) - 1.0) <= 1e-9
-        assert trajectory.max_simplex_drift < 1e-10  # per-step drift is O(h^5)
+        assert trajectory.max_simplex_drift < 1e-10
 
     def test_constant_mode_simplex_drifts(self):
         start = initial_frequencies(3, BELL)
@@ -218,11 +222,9 @@ class TestIntegrate:
             assert report.growth_rates == (0.0,) * 6  # extinct: 0.0, never NaN
             assert report.is_rest_point
         # at the uniform state the top strategy's growth overflows; the others do not
-        field = vector_field(uniform_frequencies(6), worth, weighted, bell)
-        assert field[0] is None
-        assert all(math.isfinite(rate) for rate in field[1:])
         report = rest_point_check(uniform_frequencies(6), worth, weighted, bell, 1e-9)
-        assert report.growth_rates == field
+        assert report.growth_rates[0] is None
+        assert all(math.isfinite(rate) for rate in report.growth_rates[1:])
         assert report.statuses[0] == "active"
         assert not report.is_rest_point
         # off the simplex: partial sums of the products pass the float maximum, the mean does not
@@ -232,12 +234,22 @@ class TestIntegrate:
         assert report.payoff_deviations == (1.0 - 1e308, 1.0 - 1e308, -1.0 - 1e308)
         assert report.growth_rates == (None, None, None)
 
+    def test_total_beyond_float_range(self):
+        # off the simplex the frequencies' total overflows: paper mode reports an
+        # infinite drift, and weighted mode cannot normalize, so it raises
+        worth = SymmetricWorth(m=2, by_size=(1.0, 2.0))  # payoffs 1, 1: every rate is 0
+        start = ReplicatorState(time=0.0, frequencies=(1e308, 1e308))
+        paper = DynamicsConfig(mode=Mode.PAPER_CONSTANT_AVERAGE, step_size=0.5, horizon=1.0)
+        assert integrate(start, worth, paper, BELL).max_simplex_drift == math.inf
+        weighted = DynamicsConfig(mode=Mode.FREQUENCY_WEIGHTED, step_size=0.5, horizon=1.0)
+        with pytest.raises(IntegrationError, match="non-finite"):
+            integrate(start, worth, weighted, BELL)
+
     def test_overflowing_weighted_average_is_none(self):
         # off the simplex the weighted mean 1e308 * 1.0 + 1e308 * 1.0 overflows in fsum
         worth = SymmetricWorth(m=2, by_size=(1.0, 2.0))
         state = ReplicatorState(time=0.0, frequencies=(1e308, 1e308))
         weighted = Mode.FREQUENCY_WEIGHTED
-        assert vector_field(state, worth, weighted, BELL) == (None, None)
         report = rest_point_check(state, worth, weighted, BELL, 1e-9)
         assert report.payoff_deviations == (None, None)
         assert report.growth_rates == (None, None)

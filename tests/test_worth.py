@@ -13,7 +13,6 @@ from coalition_forecast.worth import (
     SymmetricWorth,
     SymmetryViolation,
     characteristic_from_coalitions,
-    expand_to_characteristic,
     float_or_none,
     per_capita_vector,
     reduce_to_symmetric,
@@ -26,6 +25,12 @@ def synergy_game():
     """Three outsiders: singletons worth 0, pairs 1, the triple 1."""
     entries = {mask: 0.0 if mask.bit_count() == 1 else 1.0 for mask in range(1, 8)}
     return CharacteristicFunction(m=3, entries=entries)
+
+
+def expand_to_characteristic(worth):
+    """Characteristic function giving every size-k coalition the worth v(k)."""
+    entries = {mask: worth.by_size[mask.bit_count() - 1] for mask in range(1, 1 << worth.m)}
+    return CharacteristicFunction(m=worth.m, entries=entries)
 
 
 class TestCharacteristicFunction:
