@@ -6,92 +6,70 @@ hyperplanes, predicts the coalition size a representative outsider joins
 by minimum normalized distance, and simulates the underlying replicator
 dynamics. A brute-force set-partition oracle cross-checks every closed
 form at desk scale.
+
+Public names load lazily (PEP 562): importing the package loads no
+submodule, and the first use of a name imports the module that defines it,
+so a one-shot CLI call pays only for the modules its command runs.
 """
 
-from .combinatorics import (
-    BellTable,
-    EnumerationTooLarge,
-    PartitionStats,
-    SetPartition,
-    build_bell_table,
-    enumerate_partitions,
-    partition_stats,
-)
-from .oracle import (
-    OptimalStructureResult,
-    VerificationReport,
-    brute_force_average,
-    brute_force_multiplicities,
-    optimal_structure,
-    oracle_suite,
-)
-from .predictor import (
-    HyperplaneSystem,
-    PredictionReport,
-    average_worth,
-    distances,
-    evaluate_planes,
-    hyperplane_system,
-    predict,
-)
-from .replicator import (
-    DynamicsConfig,
-    IntegrationError,
-    Mode,
-    ReplicatorState,
-    RestPointReport,
-    Trajectory,
-    initial_frequencies,
-    integrate,
-    rest_point_check,
-    uniform_frequencies,
-)
-from .worth import (
-    CharacteristicFunction,
-    SymmetricWorth,
-    SymmetryViolation,
-    characteristic_from_coalitions,
-    per_capita_vector,
-    reduce_to_symmetric,
-)
+from importlib import import_module
 
-__all__ = [
-    "BellTable",
-    "CharacteristicFunction",
-    "DynamicsConfig",
-    "EnumerationTooLarge",
-    "HyperplaneSystem",
-    "IntegrationError",
-    "Mode",
-    "OptimalStructureResult",
-    "PartitionStats",
-    "PredictionReport",
-    "ReplicatorState",
-    "RestPointReport",
-    "SetPartition",
-    "SymmetricWorth",
-    "SymmetryViolation",
-    "Trajectory",
-    "VerificationReport",
-    "average_worth",
-    "brute_force_average",
-    "brute_force_multiplicities",
-    "build_bell_table",
-    "characteristic_from_coalitions",
-    "distances",
-    "enumerate_partitions",
-    "evaluate_planes",
-    "hyperplane_system",
-    "initial_frequencies",
-    "integrate",
-    "optimal_structure",
-    "oracle_suite",
-    "partition_stats",
-    "per_capita_vector",
-    "predict",
-    "rest_point_check",
-    "reduce_to_symmetric",
-    "uniform_frequencies",
-]
+# public name -> the submodule that defines it; __all__ keeps this order
+_HOMES = {
+    "BellTable": "combinatorics",
+    "CharacteristicFunction": "worth",
+    "DynamicsConfig": "replicator",
+    "EnumerationTooLarge": "errors",
+    "HyperplaneSystem": "predictor",
+    "IntegrationError": "errors",
+    "Mode": "replicator",
+    "OptimalStructureResult": "oracle",
+    "PartitionStats": "combinatorics",
+    "PredictionReport": "predictor",
+    "ReplicatorState": "replicator",
+    "RestPointReport": "replicator",
+    "SetPartition": "combinatorics",
+    "SymmetricWorth": "worth",
+    "SymmetryViolation": "errors",
+    "Trajectory": "replicator",
+    "VerificationReport": "oracle",
+    "average_worth": "predictor",
+    "brute_force_average": "oracle",
+    "brute_force_multiplicities": "oracle",
+    "build_bell_table": "combinatorics",
+    "characteristic_from_coalitions": "worth",
+    "distances": "predictor",
+    "enumerate_partitions": "combinatorics",
+    "evaluate_planes": "predictor",
+    "hyperplane_system": "predictor",
+    "initial_frequencies": "replicator",
+    "integrate": "replicator",
+    "optimal_structure": "oracle",
+    "oracle_suite": "oracle",
+    "partition_stats": "combinatorics",
+    "per_capita_vector": "worth",
+    "predict": "predictor",
+    "rest_point_check": "replicator",
+    "reduce_to_symmetric": "worth",
+    "uniform_frequencies": "replicator",
+}
+
+__all__ = list(_HOMES)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """A public name or submodule, imported on first use and then kept as a global."""
+    if name in _HOMES:
+        value = getattr(import_module(f"{__name__}.{_HOMES[name]}"), name)
+    elif name in _HOMES.values():
+        value = import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -10,34 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
-from .combinatorics import (
-    EnumerationTooLarge,
-    build_bell_table,
-    enumerate_partitions,
-    partition_stats,
-)
-from .oracle import oracle_suite
-from .predictor import average_worth, hyperplane_system, predict
-from .replicator import (
-    DynamicsConfig,
-    IntegrationError,
-    Mode,
-    TooManySamples,
-    initial_frequencies,
-    integrate,
-    uniform_frequencies,
-)
-from .worth import (
-    DEFAULT_SYMMETRY_TOLERANCE,
-    SymmetricWorth,
-    SymmetryViolation,
-    characteristic_from_coalitions,
-    check_tolerance,
-    reduce_to_symmetric,
-    worth_from_json,
-)
+from .errors import EnumerationTooLarge, IntegrationError, SymmetryViolation, TooManySamples
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -60,8 +34,22 @@ def _dump(obj: dict) -> None:
     print(json.dumps(obj, allow_nan=False))
 
 
-def game_worth(obj, tolerance: float = DEFAULT_SYMMETRY_TOLERANCE) -> SymmetricWorth:
-    """The outsiders' per-size worths from a parsed game file; ValueError if malformed."""
+def game_worth(obj, tolerance: float | None = None) -> SymmetricWorth:
+    """The outsiders' per-size worths from a parsed game file; ValueError if malformed.
+
+    tolerance None is worth.DEFAULT_SYMMETRY_TOLERANCE.
+    """
+    from .worth import (
+        DEFAULT_SYMMETRY_TOLERANCE,
+        SymmetricWorth,
+        characteristic_from_coalitions,
+        check_tolerance,
+        reduce_to_symmetric,
+        worth_from_json,
+    )
+
+    if tolerance is None:
+        tolerance = DEFAULT_SYMMETRY_TOLERANCE
     check_tolerance(tolerance)
     if not isinstance(obj, dict):
         raise ValueError("game file must contain a JSON object")
@@ -104,7 +92,7 @@ def _resolve_outsider_count(obj: dict) -> int:
     return m
 
 
-def _load_game(path: str, tolerance: float) -> SymmetricWorth:
+def _load_game(path: str, tolerance: float | None) -> SymmetricWorth:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             obj = json.load(handle)
@@ -115,16 +103,28 @@ def _load_game(path: str, tolerance: float) -> SymmetricWorth:
     return game_worth(obj, tolerance)
 
 
+def _bell_table(m: int) -> BellTable:
+    """B_0..B_m for a closed form at m; m < 1 fails first, as the closed forms fail it."""
+    from .combinatorics import build_bell_table
+
+    if m < 1:
+        raise ValueError("m must be positive")
+    return build_bell_table(m)
+
+
 def _cmd_predict(args: argparse.Namespace) -> int:
+    from .predictor import predict
+
     worth = _load_game(args.game, args.tolerance)
-    report = predict(worth, build_bell_table(worth.m))
+    report = predict(worth, _bell_table(worth.m))
     _dump(report.to_dict())
     return EXIT_OK
 
 
 def _cmd_planes(args: argparse.Namespace) -> int:
-    bell = build_bell_table(args.m)
-    system = hyperplane_system(args.m, bell)
+    from .predictor import hyperplane_system
+
+    system = hyperplane_system(args.m, _bell_table(args.m))
     _dump({
         "m": system.m,
         "degenerate": system.degenerate,
@@ -136,14 +136,24 @@ def _cmd_planes(args: argparse.Namespace) -> int:
 
 
 def _cmd_average(args: argparse.Namespace) -> int:
+    from .predictor import average_worth
+
     worth = _load_game(args.game, args.tolerance)
-    _dump({"v_tilde": average_worth(worth, build_bell_table(worth.m))})
+    _dump({"v_tilde": average_worth(worth, _bell_table(worth.m))})
     return EXIT_OK
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .replicator import (
+        DynamicsConfig,
+        Mode,
+        initial_frequencies,
+        integrate,
+        uniform_frequencies,
+    )
+
     worth = _load_game(args.game, args.tolerance)
-    bell = build_bell_table(worth.m)
+    bell = _bell_table(worth.m)
     mode = Mode.PAPER_CONSTANT_AVERAGE if args.mode == "paper" else Mode.FREQUENCY_WEIGHTED
     config = DynamicsConfig(mode=mode, step_size=args.step, horizon=args.horizon,
                             record_every=args.record_every)
@@ -159,18 +169,25 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    from .combinatorics import enumerate_partitions
+
     for part in enumerate_partitions(args.m, cap=args.cap):
         print(" ".join(str(lab) for lab in part.labels))
     return EXIT_OK
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    bell = build_bell_table(args.m)
-    _dump(asdict(partition_stats(args.m, bell)))
+    from dataclasses import asdict
+
+    from .combinatorics import partition_stats
+
+    _dump(asdict(partition_stats(args.m, _bell_table(args.m))))
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .oracle import oracle_suite
+
     report = oracle_suite(args.m, trials=args.trials, seed=args.seed, cap=args.cap)
     _dump(report.to_dict())
     return EXIT_OK if report.passed else EXIT_ORACLE
@@ -187,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_game_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("game", help="JSON game file (by_size or coalitions schema)")
-        p.add_argument("--tolerance", type=float, default=DEFAULT_SYMMETRY_TOLERANCE,
+        p.add_argument("--tolerance", type=float, default=None,
                        help="symmetry tolerance for coalition worths")
 
     p_predict = sub.add_parser("predict", help="min-distance coalition size prediction")

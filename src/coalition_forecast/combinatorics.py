@@ -9,15 +9,13 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Iterator
+
+from .errors import EnumerationTooLarge
 
 DEFAULT_ENUMERATION_CAP = 12
 _CAP_ENV_VAR = "COALITION_FORECAST_ENUM_CAP"
-
-
-class EnumerationTooLarge(ValueError):
-    """Raised when a full set-partition enumeration would exceed the cap."""
 
 
 @dataclass(frozen=True)
@@ -172,19 +170,27 @@ class PartitionStats:
     choice_counts: tuple[int, ...]
 
 
-def partition_stats(m: int, bell: BellTable) -> PartitionStats:
-    """Closed-form block counts: no enumeration involved.
+def block_multiplicities(m: int, bell: BellTable) -> tuple[int, ...]:
+    """How often a size-k block occurs over all B_m partitions, k = 1..m.
 
-    A size-k block can be chosen C(m,k) ways and the remaining m-k
-    elements partition freely, so size-k blocks appear C(m,k)*B_{m-k}
-    times overall. Fixing one element cuts the choice to
-    C(m-1,k-1) = C(m,k)*k/m. The predictor and the replicator read their
-    counts from here.
+    A size-k block can be chosen C(m,k) ways and the remaining m-k elements
+    partition freely: C(m,k)*B_{m-k}, no enumeration involved. Every closed
+    form reads its counts from here.
     """
     if m < 1:
         raise ValueError("m must be positive")
     if bell.max_index < m:
         raise ValueError(f"Bell table covers indices up to {bell.max_index}, need {m}")
-    multiplicity = tuple(math.comb(m, k) * bell[m - k] for k in range(1, m + 1))
+    return tuple(math.comb(m, k) * bell[m - k] for k in range(1, m + 1))
+
+
+def partition_stats(m: int, bell: BellTable) -> PartitionStats:
+    """Closed-form block counts: no enumeration involved.
+
+    Fixing one element cuts the C(m,k) choices of a size-k block to
+    C(m-1,k-1) = C(m,k)*k/m, so choice_counts follow from the
+    multiplicities. The replicator reads its initial frequencies from here.
+    """
+    multiplicity = block_multiplicities(m, bell)
     choice_counts = tuple(k * count // m for k, count in enumerate(multiplicity, start=1))
     return PartitionStats(m=m, multiplicity=multiplicity, choice_counts=choice_counts)

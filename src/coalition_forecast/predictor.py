@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from functools import cmp_to_key
 
-from .combinatorics import BellTable, partition_stats
+from .combinatorics import BellTable, block_multiplicities
 from .worth import SymmetricWorth, dyadic, float_or_none
 
 
@@ -34,7 +33,7 @@ def _exact_average(worth: SymmetricWorth, bell: BellTable) -> tuple:
     S = sum_j n_j w_j, and residual k is R_k / (k D den), R_k = n_k D - k S;
     the residuals come as a generator of (R_k, k D den).
     """
-    weights = partition_stats(worth.m, bell).multiplicity
+    weights = block_multiplicities(worth.m, bell)
     numerators, den = dyadic(worth.by_size)
     unit = worth.m * bell[worth.m]
     total = sum(n * w for n, w in zip(numerators, weights))
@@ -75,13 +74,15 @@ class HyperplaneSystem:
 
     @property
     def exact_rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        from fractions import Fraction  # only callers of exact_rows pay for its import
+
         return tuple(tuple(Fraction(a, d) for a in row)
                      for row, d in zip(self.integer_rows, self.row_denominators))
 
 
 def hyperplane_system(m: int, bell: BellTable) -> HyperplaneSystem:
     """Coefficient matrix of the per-size equilibrium conditions."""
-    weights = partition_stats(m, bell).multiplicity
+    weights = block_multiplicities(m, bell)
     unit = m * bell[m]
     rows = tuple(tuple(unit * (j == k) - k * w for j, w in enumerate(weights, start=1))
                  for k in range(1, m + 1))

@@ -18,6 +18,7 @@ import sys
 from dataclasses import dataclass
 
 from .combinatorics import BellTable, partition_stats
+from .errors import IntegrationError, TooManySamples
 from .predictor import average_worth
 from .worth import SymmetricWorth, dyadic, float_or_none, per_capita_vector
 
@@ -30,14 +31,6 @@ class Mode(enum.Enum):
 DEFAULT_STEP_SIZE = 0.01
 MAX_SAMPLES = 1_000_000
 _FLOAT_MAX = sys.float_info.max
-
-
-class IntegrationError(RuntimeError):
-    """Integration aborted: non-finite state or a vanished population."""
-
-
-class TooManySamples(ValueError):
-    """A run would record more than MAX_SAMPLES states after t=0."""
 
 
 @dataclass(frozen=True)

@@ -9,31 +9,25 @@ polices) that collapse.
 from __future__ import annotations
 
 import math
+from collections.abc import Collection, Iterable, Mapping
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Mapping
+
+from .errors import SymmetryViolation
 
 DEFAULT_SYMMETRY_TOLERANCE = 1e-9
 
 
-class SymmetryViolation(ValueError):
-    """Two same-size coalitions disagree by more than the tolerance."""
-
-    def __init__(self, coalition_a: tuple[int, ...], worth_a: float,
-                 coalition_b: tuple[int, ...], worth_b: float) -> None:
-        self.coalition_a = coalition_a
-        self.worth_a = worth_a
-        self.coalition_b = coalition_b
-        self.worth_b = worth_b
-        self.gap = abs(worth_a - worth_b)
-        super().__init__(
-            f"symmetry violation: v({set(coalition_a)}) = {worth_a} but "
-            f"v({set(coalition_b)}) = {worth_b} (gap {self.gap})"
-        )
-
-
 def mask_to_members(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _check_coalition_count(m: int, count: int) -> None:
+    """count == 2^m - 1, decided without building 2^m: any m a file names is safe."""
+    if count.bit_length() != m or (count + 1) & count:
+        needs = (1 << m) - 1 if m <= 64 else f"2^{m} - 1"  # no file holds 2^64 records
+        raise ValueError(f"characteristic function for m={m} needs {needs} "
+                         f"coalition worths, got {count}")
 
 
 @dataclass(frozen=True)
@@ -50,12 +44,8 @@ class CharacteristicFunction:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError("m must be positive")
-        expected = (1 << self.m) - 1
-        if len(self.entries) != expected:
-            raise ValueError(
-                f"characteristic function for m={self.m} needs {expected} "
-                f"coalition worths, got {len(self.entries)}"
-            )
+        _check_coalition_count(self.m, len(self.entries))
+        expected = (1 << self.m) - 1  # safe: a count of 2^m - 1 entries exists
         for mask, value in self.entries.items():
             if not 1 <= mask <= expected:
                 raise ValueError(f"invalid coalition bitmask {mask} for m={self.m}")
@@ -128,13 +118,18 @@ def worth_from_json(value) -> float:
         raise ValueError("a worth lies beyond the float range") from None
 
 
-def characteristic_from_coalitions(m: int, coalitions: Iterable[Mapping]) -> CharacteristicFunction:
+def characteristic_from_coalitions(m: int,
+                                   coalitions: Collection[Mapping]) -> CharacteristicFunction:
     """Build a characteristic function from explicit coalition records.
 
     Each record carries "members", a list of distinct outsider indices
     (integers, never booleans), and "worth". Every non-empty subset must
     appear exactly once.
     """
+    count = len(coalitions)
+    # 2^m - 1 records have count.bit_length() == m, so a member at or past this
+    # width means the count is wrong: no shift is ever wider than the count
+    width = min(m, count.bit_length())
     entries: dict[int, float] = {}
     for record in coalitions:
         try:
@@ -152,7 +147,9 @@ def characteristic_from_coalitions(m: int, coalitions: Iterable[Mapping]) -> Cha
         for elem in members:  # inline, not a call per record: large coalition files stay fast
             if type(elem) is not int:  # nor a bool, whose type is bool
                 raise ValueError(f"'members' must be a list of integers, not {members!r}")
-            if not 0 <= elem < m:
+            if not 0 <= elem < width:
+                if 0 <= elem < m:
+                    _check_coalition_count(m, count)  # raises: m exceeds the width
                 raise ValueError(f"member {elem} outside 0..{m - 1}")
             bit = 1 << elem
             if mask & bit:

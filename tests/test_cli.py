@@ -1,6 +1,7 @@
 """CLI subcommands, JSON I/O, and exit codes."""
 
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -167,6 +168,16 @@ class TestPredict:
         assert len(err.splitlines()) == 1
         assert "'members' must be a list of integers" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize("member", [0, 19999])
+    def test_record_count_checked_before_any_shift(self, capsys, tmp_path, member):
+        game = {"m": 10 ** 8, "coalitions": [{"members": [member], "worth": 1}]}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(game))
+        code, out, err = run(capsys, "predict", str(path))
+        assert code == 2 and out == ""
+        assert json.loads(err)["message"] == ("characteristic function for m=100000000 needs "
+                                              "2^100000000 - 1 coalition worths, got 1")
+
     def test_symmetry_violation_exit_code(self, capsys, tmp_path):
         game = {
             "m": 2,
@@ -244,6 +255,14 @@ class TestPlanes:
         payload = json.loads(out)
         assert payload["degenerate"]
         assert payload["rows"] == [[0.0]]
+
+
+@pytest.mark.parametrize("m", ["-1", "0"])
+@pytest.mark.parametrize("command", ["planes", "stats"])
+def test_closed_form_m_must_be_positive(capsys, command, m):
+    code, out, err = run(capsys, command, "--m", m)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": 2, "message": "m must be positive"}
 
 
 class TestSimulate:
@@ -375,7 +394,7 @@ class TestVerify:
             count_matches=False, multiplicity_matches=True,
             choice_counts_match=True, max_average_rel_err=0.0, averages_match=True,
         )
-        monkeypatch.setattr(cli, "oracle_suite", lambda *a, **k: failing)
+        monkeypatch.setattr("coalition_forecast.oracle.oracle_suite", lambda *a, **k: failing)
         code, out, _ = run(capsys, "verify", "--m", "3")
         assert code == 5
         assert json.loads(out)["passed"] is False
@@ -404,11 +423,95 @@ def test_cli_import_leaves_numpy_out():
     assert done.stdout.strip() == "False"
 
 
+def _fresh_python(*argv: str) -> subprocess.CompletedProcess:
+    """A new interpreter on this checkout's package, without site-packages (-S)."""
+    src = os.path.dirname(os.path.dirname(coalition_forecast.__file__))
+    return subprocess.run([sys.executable, "-S", "-W", "error", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+
+
+PREDICTOR = {"combinatorics", "predictor", "worth"}  # predictor and what it imports
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["--help"], set()),
+    (["stats", "--m", "3"], {"combinatorics"}),
+    (["enumerate", "--m", "3"], {"combinatorics"}),
+    (["planes", "--m", "3"], PREDICTOR),
+    (["predict", "GAME"], PREDICTOR),
+    (["average", "GAME"], PREDICTOR),
+    (["simulate", "GAME", "--horizon", "1"], PREDICTOR | {"replicator"}),
+    (["verify", "--m", "3", "--trials", "2"], PREDICTOR | {"oracle"}),
+], ids=["help", "stats", "enumerate", "planes", "predict", "average", "simulate", "verify"])
+def test_each_command_loads_only_the_modules_it_runs(game_file, argv, modules):
+    probe = ("import json, sys\n"
+             "from coalition_forecast.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "print(json.dumps([code, sorted(sys.modules)]))\n")
+    done = _fresh_python("-c", probe, *(game_file if arg == "GAME" else arg for arg in argv))
+    code, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0, done.stderr
+    package = {name for name in loaded if name.startswith("coalition_forecast")}
+    assert package == {"coalition_forecast", "coalition_forecast.cli",
+                       "coalition_forecast.errors"} | {f"coalition_forecast.{m}" for m in modules}
+    assert ("fractions" in loaded) == (argv[0] == "planes")  # only exact_rows needs Fraction
+    assert "typing" not in loaded
+
+
+def test_console_script_target_runs():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as handle:
+        target = tomllib.load(handle)["project"]["scripts"]["coalition-forecast"]
+    module, _, function = target.partition(":")
+    done = _fresh_python("-c", f"import sys; from {module} import {function}; "
+                               f"sys.exit({function}(['--help']))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: coalition-forecast")
+
+
+PUBLIC_NAMES = [
+    "BellTable", "CharacteristicFunction", "DynamicsConfig", "EnumerationTooLarge",
+    "HyperplaneSystem", "IntegrationError", "Mode", "OptimalStructureResult",
+    "PartitionStats", "PredictionReport", "ReplicatorState", "RestPointReport",
+    "SetPartition", "SymmetricWorth", "SymmetryViolation", "Trajectory",
+    "VerificationReport", "average_worth", "brute_force_average",
+    "brute_force_multiplicities", "build_bell_table", "characteristic_from_coalitions",
+    "distances", "enumerate_partitions", "evaluate_planes", "hyperplane_system",
+    "initial_frequencies", "integrate", "optimal_structure", "oracle_suite",
+    "partition_stats", "per_capita_vector", "predict", "rest_point_check",
+    "reduce_to_symmetric", "uniform_frequencies",
+]
+
+
 def test_every_public_name_resolves():
-    missing = [name for name in coalition_forecast.__all__
-               if not hasattr(coalition_forecast, name)]
-    assert missing == []
+    assert coalition_forecast.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        value = getattr(coalition_forecast, name)
+        assert getattr(sys.modules[value.__module__], name) is value
+    assert set(PUBLIC_NAMES) <= set(dir(coalition_forecast))
     exec("from coalition_forecast import *", {})
+
+
+@pytest.mark.parametrize("module, name", [
+    ("worth", "SymmetryViolation"), ("combinatorics", "EnumerationTooLarge"),
+    ("replicator", "IntegrationError"), ("replicator", "TooManySamples"),
+])
+def test_errors_keep_their_import_paths(module, name):
+    from coalition_forecast import errors
+    home = importlib.import_module(f"coalition_forecast.{module}")
+    assert getattr(home, name) is getattr(errors, name)
+
+
+def test_submodule_resolves_as_attribute(monkeypatch):
+    monkeypatch.delattr(coalition_forecast, "oracle")  # as before its first import
+    assert coalition_forecast.oracle is sys.modules["coalition_forecast.oracle"]
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError,
+                       match=r"^module 'coalition_forecast' has no attribute 'no_such_name'$"):
+        coalition_forecast.no_such_name
 
 
 class TestParserErrors:
@@ -429,8 +532,7 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-# integers stay small as counts (a game's m is shifted as 1 << m) or lie beyond the float range
-INTEGERS = st.integers(-10 ** 6, 10 ** 6) | st.sampled_from([2 ** 1024, -2 ** 1024])
+INTEGERS = st.integers(-10 ** 18, 10 ** 18) | st.sampled_from([2 ** 1024, -2 ** 1024])
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | INTEGERS | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,

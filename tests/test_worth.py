@@ -38,6 +38,12 @@ class TestCharacteristicFunction:
         with pytest.raises(ValueError, match="7"):
             CharacteristicFunction(m=3, entries={1: 0.0, 2: 0.0})
 
+    def test_count_checked_before_two_to_the_m(self):
+        # 2^m - 1 for this m would take 125 MB and print past the int-to-str limit
+        with pytest.raises(ValueError, match=r"^characteristic function for m=1000000000 "
+                                             r"needs 2\^1000000000 - 1 coalition worths, got 1$"):
+            CharacteristicFunction(m=10 ** 9, entries={1: 0.0})
+
     def test_rejects_nonfinite_worth(self):
         entries = {mask: 0.0 for mask in range(1, 8)}
         entries[3] = math.inf
