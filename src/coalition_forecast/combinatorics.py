@@ -70,29 +70,26 @@ class SetPartition:
     labels: tuple[int, ...]
 
 
-def _rgs_prefixes(m: int) -> Iterator[tuple[list[int], list[int], list[int], int]]:
+def _rgs_prefixes(m: int) -> Iterator[tuple[list[int], list[int], int]]:
     """Every partition of {0,..,m-1}, one prefix at a time (Knuth's Algorithm H).
 
     Visits the B_{m-1} restricted-growth prefixes of elements 0..m-2 in
-    lexicographic order and yields (labels, sizes, masks, nb) for each:
-    labels[i] is element i's block, sizes[b] and masks[b] are the size and
-    bitmask of block b (zero past the nb blocks in use). Only the trailing
-    labels change between prefixes, and sizes and masks follow them, so a
-    step costs amortised O(1). The partitions of {0,..,m-1} extending a
+    lexicographic order and yields (labels, masks, nb) for each: labels[i]
+    is element i's block and masks[b] the bitmask of block b (zero past the
+    nb blocks in use), so block b has masks[b].bit_count() elements. Only
+    the trailing labels change between prefixes, and masks follow them, so
+    a step costs amortised O(1). The partitions of {0,..,m-1} extending a
     prefix are its nb + 1 completions, in lexicographic order: element m-1
-    joins block j for j = 0..nb-1, or starts block nb. The same three lists
+    joins block j for j = 0..nb-1, or starts block nb. The same two lists
     are yielded every time; callers must copy what they keep.
     """
     n = m - 1
     labels = [0] * n
     tops = [0] * n  # tops[i] = max(labels[:i]) for i >= 1
-    sizes = [0] * m
-    masks = [0] * m
-    sizes[0] = n
-    masks[0] = (1 << n) - 1
+    masks = [(1 << n) - 1] + [0] * n
     nb = 1 if n else 0
     while True:
-        yield labels, sizes, masks, nb
+        yield labels, masks, nb
         i = n - 1
         while i > 0 and labels[i] == tops[i] + 1:
             i -= 1
@@ -100,8 +97,6 @@ def _rgs_prefixes(m: int) -> Iterator[tuple[list[int], list[int], list[int], int
             return
         lab = labels[i]
         labels[i] = lab + 1
-        sizes[lab] -= 1
-        sizes[lab + 1] += 1
         masks[lab] ^= 1 << i
         masks[lab + 1] |= 1 << i
         top = tops[i] if tops[i] > lab else lab + 1
@@ -109,8 +104,6 @@ def _rgs_prefixes(m: int) -> Iterator[tuple[list[int], list[int], list[int], int
             lab = labels[j]
             if lab:
                 labels[j] = 0
-                sizes[lab] -= 1
-                sizes[0] += 1
                 masks[lab] ^= 1 << j
                 masks[0] |= 1 << j
             tops[j] = top
@@ -148,7 +141,7 @@ def enumerate_partitions(m: int, cap: int | None = None) -> Iterator[SetPartitio
     _check_cap(m, cap)
 
     def generate() -> Iterator[SetPartition]:
-        for labels, _, _, nb in _rgs_prefixes(m):
+        for labels, _, nb in _rgs_prefixes(m):
             prefix = tuple(labels)
             for last in range(nb + 1):
                 yield SetPartition(labels=prefix + (last,))

@@ -31,4 +31,4 @@ class IntegrationError(RuntimeError):
 
 
 class TooManySamples(ValueError):
-    """A run would record more than replicator.MAX_SAMPLES states after t=0."""
+    """A run would record over MAX_SAMPLES states after t=0, or draw over MAX_TRIALS trials."""

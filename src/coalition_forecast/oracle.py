@@ -20,6 +20,7 @@ from .combinatorics import (
     build_bell_table,
     partition_stats,
 )
+from .errors import TooManySamples
 from .predictor import average_worth, predict
 from .worth import (
     CharacteristicFunction,
@@ -30,24 +31,28 @@ from .worth import (
     reduce_to_symmetric,
 )
 
+MAX_TRIALS = 1_000_000  # the bound of replicator.MAX_SAMPLES, for oracle_suite's trials
+
 
 def _scan_stats(m: int) -> PartitionStats:
     """Block-size and fixed-agent counts, one enumerated partition at a time.
 
-    A prefix with block sizes s_0..s_{nb-1} has nb + 1 completions: the one
-    where the last element joins block j has s_j + 1 in place of s_j, and
-    the last one adds a singleton. So every s_j appears in nb of them and
-    s_j + 1 in one. Element 0 always sits in block 0.
+    A prefix with block sizes s_j = masks[j].bit_count() has nb + 1
+    completions: the one where the last element joins block j has s_j + 1
+    in place of s_j, and the last one adds a singleton. So every s_j
+    appears in nb of them and s_j + 1 in one. Element 0 sits in block 0.
     """
     multiplicity = [0] * (m + 1)
     choice_counts = [0] * (m + 1)
-    for _, sizes, _, nb in _rgs_prefixes(m):
-        for size in sizes[:nb]:
+    for _, masks, nb in _rgs_prefixes(m):
+        for mask in masks[:nb]:
+            size = mask.bit_count()
             multiplicity[size] += nb
             multiplicity[size + 1] += 1
         multiplicity[1] += 1
-        choice_counts[sizes[0]] += nb
-        choice_counts[sizes[0] + 1] += 1
+        first = masks[0].bit_count()
+        choice_counts[first] += nb
+        choice_counts[first + 1] += 1
     return PartitionStats(
         m=m,
         multiplicity=tuple(multiplicity[1:]),
@@ -107,7 +112,7 @@ def optimal_structure(cf: CharacteristicFunction, cap: int | None = None) -> Opt
     last = 1 << (m - 1)
     alone = worth[last]
     best_total = -sum(map(abs, numerators)) - 1  # below every structure's total
-    for labels, _, masks, nb in _rgs_prefixes(m):
+    for labels, masks, nb in _rgs_prefixes(m):
         total = sum([worth[mask] for mask in masks])
         for j, mask in enumerate(masks[:nb]):
             joined = total - worth[mask] + worth[mask | last]
@@ -170,10 +175,14 @@ def oracle_suite(m: int, trials: int = 1000, seed: int = 0,
     reads the enumerated multiplicities, so once count_matches and
     multiplicity_matches hold, both averages round the same exact ratio and
     averages_match cannot fail: the trials only confirm that regrouping.
+    Counts and trials read one cached walk, taken after the trials and cap checks.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    enumerated = brute_force_multiplicities(m, cap=cap)  # the cap, before any work
+    if trials > MAX_TRIALS:
+        raise TooManySamples(f"{trials} trials exceed the bound of {MAX_TRIALS}")
+    _check_cap(m, cap)
+    enumerated = _cached_stats(m)  # the walk the trials' brute_force_average reads
     bell = build_bell_table(m)
     closed = partition_stats(m, bell)
     n_partitions = sum(enumerated.choice_counts)

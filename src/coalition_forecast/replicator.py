@@ -72,8 +72,9 @@ class DynamicsConfig:
             raise ValueError("step_size must be positive and finite")
         if not self.step_size < self.horizon <= _FLOAT_MAX:
             raise ValueError("horizon must be finite and exceed step_size")
-        if self.record_every < 1:
-            raise ValueError("record_every must be at least 1")
+        if type(self.record_every) is not int or self.record_every < 1:  # a bool is not int
+            raise ValueError(f"record_every must be an integer of at least 1, "
+                             f"got {self.record_every!r}")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,9 @@ def mask_to_members(mask: int) -> tuple[int, ...]:
 
 
 def _check_coalition_count(m: int, count: int) -> None:
-    """count == 2^m - 1, decided without building 2^m: any m a file names is safe."""
+    """m >= 1 and count == 2^m - 1, decided without building 2^m: any m a file names is safe."""
+    if m < 1:
+        raise ValueError("m must be positive")
     if count.bit_length() != m or (count + 1) & count:
         needs = (1 << m) - 1 if m <= 64 else f"2^{m} - 1"  # no file holds 2^64 records
         raise ValueError(f"characteristic function for m={m} needs {needs} "
@@ -42,8 +44,6 @@ class CharacteristicFunction:
     entries: Mapping[int, float]
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError("m must be positive")
         _check_coalition_count(self.m, len(self.entries))
         expected = (1 << self.m) - 1  # safe: a count of 2^m - 1 entries exists
         for mask, value in self.entries.items():
@@ -124,12 +124,10 @@ def characteristic_from_coalitions(m: int,
 
     Each record carries "members", a list of distinct outsider indices
     (integers, never booleans), and "worth". Every non-empty subset must
-    appear exactly once.
+    appear exactly once: the record count is checked first, so no member
+    shift is wider than the count.
     """
-    count = len(coalitions)
-    # 2^m - 1 records have count.bit_length() == m, so a member at or past this
-    # width means the count is wrong: no shift is ever wider than the count
-    width = min(m, count.bit_length())
+    _check_coalition_count(m, len(coalitions))
     entries: dict[int, float] = {}
     for record in coalitions:
         try:
@@ -147,9 +145,7 @@ def characteristic_from_coalitions(m: int,
         for elem in members:  # inline, not a call per record: large coalition files stay fast
             if type(elem) is not int:  # nor a bool, whose type is bool
                 raise ValueError(f"'members' must be a list of integers, not {members!r}")
-            if not 0 <= elem < width:
-                if 0 <= elem < m:
-                    _check_coalition_count(m, count)  # raises: m exceeds the width
+            if not 0 <= elem < m:
                 raise ValueError(f"member {elem} outside 0..{m - 1}")
             bit = 1 << elem
             if mask & bit:

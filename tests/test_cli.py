@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -219,6 +220,17 @@ class TestGameInput:
         with pytest.raises(ValueError, match="exactly one"):
             cli.game_worth({"m": 1, "by_size": [1], "coalitions": []})
 
+    @pytest.mark.parametrize("game, message", [
+        ({"m": 0, "by_size": []}, "'m' must be positive, got 0"),
+        ({"m": 1, "coalitions": {"members": [0], "worth": 1}},
+         "'coalitions' must be a list of records"),
+        ({"m": 1, "coalitions": [{"members": [0]}]},
+         "coalition record {'members': [0]} needs 'members' and 'worth'"),
+    ])
+    def test_malformed_game_rejected(self, game, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cli.game_worth(game)
+
     def test_wrong_by_size_length(self):
         with pytest.raises(ValueError, match="list of 2"):
             cli.game_worth({"m": 2, "by_size": [1.0]})
@@ -387,6 +399,12 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--m", "13", "--trials", "1")
         assert code == 4
         assert json.loads(err)["error"] == 4
+
+    def test_trials_bound_exits_4(self, capsys):
+        code, out, err = run(capsys, "verify", "--m", "3", "--trials", "1000001")
+        assert code == 4 and out == ""
+        assert json.loads(err) == {"error": 4,
+                                   "message": "1000001 trials exceed the bound of 1000000"}
 
     def test_mismatch_exits_5(self, capsys, monkeypatch):
         failing = VerificationReport(

@@ -54,6 +54,10 @@ class TestBellTable:
         with pytest.raises(ValueError):
             BellTable(max_index=2, values=(1, 1))
 
+    def test_rejects_wrong_start(self):
+        with pytest.raises(ValueError, match="must start 1, 1"):
+            BellTable(max_index=1, values=(1, 2))
+
 
 class TestBinomial:
     """The binomial factors of the closed-form counts, against Pascal's triangle."""

@@ -13,6 +13,7 @@ from coalition_forecast.combinatorics import (
     enumerate_partitions,
     partition_stats,
 )
+from coalition_forecast.errors import TooManySamples
 from coalition_forecast.oracle import (
     brute_force_average,
     brute_force_multiplicities,
@@ -197,6 +198,25 @@ class TestOracleSuite:
         assert d["m"] == 3
         assert set(d) >= {"count_matches", "multiplicity_matches",
                           "choice_counts_match", "averages_match"}
+
+    def test_walks_the_enumeration_once(self, monkeypatch):
+        walks = []
+        walker = oracle._rgs_prefixes
+
+        def counted(m):
+            walks.append(m)
+            return walker(m)
+
+        monkeypatch.setattr(oracle, "_rgs_prefixes", counted)
+        oracle._cached_stats.cache_clear()  # a fresh walk, not one an earlier test left
+        assert oracle_suite(5, trials=3, seed=0).passed
+        assert walks == [5]
+
+    def test_trials_bounded_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_rgs_prefixes", None)  # any walk would fail
+        with pytest.raises(TooManySamples, match=r"^1000001 trials exceed the bound "
+                                                 r"of 1000000$"):
+            oracle_suite(5, trials=10 ** 6 + 1)
 
     def test_deterministic_for_fixed_seed(self):
         a = oracle_suite(3, trials=20, seed=5)

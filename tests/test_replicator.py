@@ -267,6 +267,17 @@ class TestIntegrate:
         with pytest.raises(TooManySamples, match="1000000 samples"):
             integrate(start, SYNERGY, config, BELL)
 
+    def test_start_and_worth_must_agree_on_m(self):
+        config = DynamicsConfig(step_size=0.01, horizon=1.0)
+        with pytest.raises(ValueError, match="start has m=2 but worth has m=3"):
+            integrate(ReplicatorState(time=0.0, frequencies=(0.5, 0.5)), SYNERGY, config, BELL)
+
+    def test_weighted_start_with_no_population_aborts(self):
+        config = DynamicsConfig(mode=Mode.FREQUENCY_WEIGHTED, step_size=0.01, horizon=1.0)
+        start = ReplicatorState(time=0.0, frequencies=(0.0, 0.0, 0.0))
+        with pytest.raises(IntegrationError, match="population vanished"):
+            integrate(start, SYNERGY, config, BELL)
+
     def test_nonfinite_state_aborts(self):
         worth = SymmetricWorth(m=2, by_size=(0.0, 1e308))
         start = ReplicatorState(time=0.0, frequencies=(0.5, 0.5))
@@ -325,6 +336,19 @@ class TestConfigValidation:
     def test_record_every_at_least_one(self):
         with pytest.raises(ValueError):
             DynamicsConfig(step_size=0.01, horizon=1.0, record_every=0)
+
+    @pytest.mark.parametrize("every", [1.5, 2.0, True])
+    def test_record_every_must_be_an_integer(self, every):
+        with pytest.raises(ValueError, match="record_every must be an integer"):
+            DynamicsConfig(step_size=0.01, horizon=1.0, record_every=every)
+
+    def test_state_rejects_empty_frequencies(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            ReplicatorState(time=0.0, frequencies=())
+
+    def test_uniform_frequencies_m_must_be_positive(self):
+        with pytest.raises(ValueError, match="m must be positive"):
+            uniform_frequencies(0)
 
     def test_state_rejects_negative_frequency(self):
         with pytest.raises(ValueError):

@@ -44,6 +44,14 @@ class TestCharacteristicFunction:
                                              r"needs 2\^1000000000 - 1 coalition worths, got 1$"):
             CharacteristicFunction(m=10 ** 9, entries={1: 0.0})
 
+    @pytest.mark.parametrize("m, entries, message", [
+        (0, {}, "m must be positive"),
+        (2, {1: 0.0, 2: 0.0, 4: 0.0}, "invalid coalition bitmask 4 for m=2"),
+    ])
+    def test_rejects_bad_m_or_bitmask(self, m, entries, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CharacteristicFunction(m=m, entries=entries)
+
     def test_rejects_nonfinite_worth(self):
         entries = {mask: 0.0 for mask in range(1, 8)}
         entries[3] = math.inf
@@ -60,14 +68,29 @@ class TestCharacteristicFunction:
         assert cf.entries == {0b01: 2.0, 0b10: 2.0, 0b11: 5.0}
 
     def test_duplicate_coalition_rejected(self):
+        # 2^2 - 1 records, so the count passes and the duplicate is what fails
         records = [{"members": [0], "worth": 1.0}, {"members": [0], "worth": 2.0},
-                   {"members": [1], "worth": 1.0}, {"members": [0, 1], "worth": 1.0}]
+                   {"members": [0, 1], "worth": 1.0}]
         with pytest.raises(ValueError, match="twice"):
             characteristic_from_coalitions(2, records)
 
     def test_member_out_of_range(self):
+        records = [{"members": [0], "worth": 1.0}, {"members": [2], "worth": 1.0},
+                   {"members": [0, 1], "worth": 1.0}]
         with pytest.raises(ValueError, match="outside"):
-            characteristic_from_coalitions(2, [{"members": [2], "worth": 1.0}])
+            characteristic_from_coalitions(2, records)
+
+    def test_record_count_checked_before_the_records(self):
+        # both the count and a member are wrong: the count is reported
+        records = [{"members": [0], "worth": 1.0}, {"members": [2], "worth": 1.0}]
+        with pytest.raises(ValueError, match=r"^characteristic function for m=2 "
+                                             r"needs 3 coalition worths, got 2$"):
+            characteristic_from_coalitions(2, records)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_coalitions_m_must_be_positive(self, m):
+        with pytest.raises(ValueError, match=r"^m must be positive$"):
+            characteristic_from_coalitions(m, [])
 
 
 class TestReduceToSymmetric:
@@ -141,6 +164,10 @@ class TestSymmetricWorth:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             SymmetricWorth(m=1, by_size=(math.nan,))
+
+    def test_rejects_non_positive_m(self):
+        with pytest.raises(ValueError, match="m must be positive"):
+            SymmetricWorth(m=0, by_size=())
 
 
 # a ratio at or above this rounds to inf: halfway to 2**1024 rounds to even
