@@ -3,6 +3,8 @@
 Exit codes: 0 success, 2 input validation failure, 3 symmetry violation,
 4 enumeration cap or sample limit exceeded, 5 oracle mismatch. Every error
 goes to stderr as a single-line JSON object {"error": code, "message": text}.
+Each command returns its exit code and its records, and `main` writes them
+through `_write`; a stdout closed by its reader ends the run with exit 0.
 """
 
 from __future__ import annotations
@@ -30,8 +32,14 @@ def _emit_error(code: int, message: str) -> None:
     print(json.dumps({"error": code, "message": message}), file=sys.stderr)
 
 
-def _dump(obj: dict) -> None:
-    print(json.dumps(obj, allow_nan=False))
+def _write(records: Iterable[dict | str]) -> None:
+    """The one writer of stdout: each record and a newline; a str as is, a dict as JSON."""
+    write = sys.stdout.write
+    for record in records:
+        write(record if isinstance(record, str)  # default=sorted: a frozenset as its sorted list
+              else json.dumps(record, allow_nan=False, default=sorted))
+        write("\n")
+    sys.stdout.flush()
 
 
 def game_worth(obj, tolerance: float | None = None) -> SymmetricWorth:
@@ -112,38 +120,30 @@ def _bell_table(m: int) -> BellTable:
     return build_bell_table(m)
 
 
-def _cmd_predict(args: argparse.Namespace) -> int:
+def _cmd_predict(args: argparse.Namespace) -> tuple[int, list[dict]]:
     from .predictor import predict
 
     worth = _load_game(args.game, args.tolerance)
-    report = predict(worth, _bell_table(worth.m))
-    _dump(report.to_dict())
-    return EXIT_OK
+    return EXIT_OK, [vars(predict(worth, _bell_table(worth.m)))]
 
 
-def _cmd_planes(args: argparse.Namespace) -> int:
+def _cmd_planes(args: argparse.Namespace) -> tuple[int, list[dict]]:
     from .predictor import hyperplane_system
 
     system = hyperplane_system(args.m, _bell_table(args.m))
-    _dump({
-        "m": system.m,
-        "degenerate": system.degenerate,
-        "exact_rows": [[str(a) for a in row] for row in system.exact_rows],
-        "rows": [list(row) for row in system.coefficients],
-        "row_norms": list(system.row_norms),
-    })
-    return EXIT_OK
+    return EXIT_OK, [{"m": system.m, "degenerate": system.degenerate,
+                      "exact_rows": [[str(a) for a in row] for row in system.exact_rows],
+                      "rows": system.coefficients, "row_norms": system.row_norms}]
 
 
-def _cmd_average(args: argparse.Namespace) -> int:
+def _cmd_average(args: argparse.Namespace) -> tuple[int, list[dict]]:
     from .predictor import average_worth
 
     worth = _load_game(args.game, args.tolerance)
-    _dump({"v_tilde": average_worth(worth, _bell_table(worth.m))})
-    return EXIT_OK
+    return EXIT_OK, [{"v_tilde": average_worth(worth, _bell_table(worth.m))}]
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> tuple[int, Iterator[dict]]:
     from .replicator import (
         DynamicsConfig,
         Mode,
@@ -157,40 +157,39 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     mode = Mode.PAPER_CONSTANT_AVERAGE if args.mode == "paper" else Mode.FREQUENCY_WEIGHTED
     config = DynamicsConfig(mode=mode, step_size=args.step, horizon=args.horizon,
                             record_every=args.record_every)
-    if args.init == "uniform":
-        start = uniform_frequencies(worth.m)
-    else:
-        start = initial_frequencies(worth.m, bell)
+    start = (uniform_frequencies(worth.m) if args.init == "uniform"
+             else initial_frequencies(worth.m, bell))
     trajectory = integrate(start, worth, config, bell)
-    for state in trajectory.states:
-        print(json.dumps({"t": state.time, "x": list(state.frequencies)},
-                         allow_nan=False))
-    return EXIT_OK
+    return EXIT_OK, ({"t": state.time, "x": state.frequencies} for state in trajectory.states)
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
-    from .combinatorics import enumerate_partitions
+def _cmd_enumerate(args: argparse.Namespace) -> tuple[int, Iterator[str]]:
+    """One record per restricted-growth prefix: its nb + 1 completions, one per line."""
+    from .combinatorics import _check_cap, _rgs_prefixes
 
-    for part in enumerate_partitions(args.m, cap=args.cap):
-        print(" ".join(str(lab) for lab in part.labels))
-    return EXIT_OK
+    _check_cap(args.m, args.cap)
+    heads = [f"{label} " for label in range(args.m)]
+    lasts = [str(label) for label in range(args.m)]
+
+    def lines() -> Iterator[str]:
+        for labels, _, nb in _rgs_prefixes(args.m):
+            head = "".join([heads[label] for label in labels])  # empty at m = 1
+            yield head + ("\n" + head).join(lasts[:nb + 1])
+
+    return EXIT_OK, lines()
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    from dataclasses import asdict
-
+def _cmd_stats(args: argparse.Namespace) -> tuple[int, list[dict]]:
     from .combinatorics import partition_stats
 
-    _dump(asdict(partition_stats(args.m, _bell_table(args.m))))
-    return EXIT_OK
+    return EXIT_OK, [vars(partition_stats(args.m, _bell_table(args.m)))]
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, list[dict]]:
     from .oracle import oracle_suite
 
     report = oracle_suite(args.m, trials=args.trials, seed=args.seed, cap=args.cap)
-    _dump(report.to_dict())
-    return EXIT_OK if report.passed else EXIT_ORACLE
+    return (EXIT_OK if report.passed else EXIT_ORACLE), [{**vars(report), "passed": report.passed}]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -202,25 +201,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_game_options(p: argparse.ArgumentParser) -> None:
+    def command(name: str, handler, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        return p
+
+    def add_game_options(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
         p.add_argument("game", help="JSON game file (by_size or coalitions schema)")
         p.add_argument("--tolerance", type=float, default=None,
                        help="symmetry tolerance for coalition worths")
+        return p
 
-    p_predict = sub.add_parser("predict", help="min-distance coalition size prediction")
-    add_game_options(p_predict)
-    p_predict.set_defaults(handler=_cmd_predict)
+    add_game_options(command("predict", _cmd_predict, "min-distance coalition size prediction"))
 
-    p_planes = sub.add_parser("planes", help="equilibrium hyperplane system")
+    p_planes = command("planes", _cmd_planes, "equilibrium hyperplane system")
     p_planes.add_argument("--m", type=int, required=True, help="number of outsiders")
-    p_planes.set_defaults(handler=_cmd_planes)
 
-    p_average = sub.add_parser("average", help="structure-uniform average worth")
-    add_game_options(p_average)
-    p_average.set_defaults(handler=_cmd_average)
+    add_game_options(command("average", _cmd_average, "structure-uniform average worth"))
 
-    p_simulate = sub.add_parser("simulate", help="replicator dynamics trajectory")
-    add_game_options(p_simulate)
+    p_simulate = add_game_options(command("simulate", _cmd_simulate,
+                                          "replicator dynamics trajectory"))
     p_simulate.add_argument("--mode", choices=("paper", "weighted"), default="paper",
                             help="constant-average or frequency-weighted benchmark")
     p_simulate.add_argument("--step", type=float, default=0.01,
@@ -230,26 +230,22 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="record every N-th sampling step")
     p_simulate.add_argument("--init", choices=("structure", "uniform"), default="structure",
                             help="structure-uniform pushforward or uniform over sizes")
-    p_simulate.set_defaults(handler=_cmd_simulate)
 
-    p_enumerate = sub.add_parser("enumerate", help="all coalition structures, one per line")
+    p_enumerate = command("enumerate", _cmd_enumerate, "all coalition structures, one per line")
     p_enumerate.add_argument("--m", type=int, required=True, help="number of outsiders")
     p_enumerate.add_argument("--cap", type=int, default=None,
                              help="override the enumeration cap")
-    p_enumerate.set_defaults(handler=_cmd_enumerate)
 
-    p_stats = sub.add_parser("stats", help="closed-form block-occurrence counts")
+    p_stats = command("stats", _cmd_stats, "closed-form block-occurrence counts")
     p_stats.add_argument("--m", type=int, required=True, help="number of outsiders")
-    p_stats.set_defaults(handler=_cmd_stats)
 
-    p_verify = sub.add_parser("verify", help="enumeration-vs-closed-form oracle suite")
+    p_verify = command("verify", _cmd_verify, "enumeration-vs-closed-form oracle suite")
     p_verify.add_argument("--m", type=int, required=True, help="number of outsiders")
     p_verify.add_argument("--trials", type=int, default=1000,
                           help="random worth vectors to test")
     p_verify.add_argument("--seed", type=int, default=0, help="RNG seed")
     p_verify.add_argument("--cap", type=int, default=None,
                           help="override the enumeration cap")
-    p_verify.set_defaults(handler=_cmd_verify)
 
     return parser
 
@@ -261,7 +257,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        code, records = args.handler(args)
+        _write(records)
+        return code
+    except BrokenPipeError:  # the reader closed stdout; the exit-time flush goes to devnull
+        import os
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except SymmetryViolation as exc:
         _emit_error(EXIT_SYMMETRY, str(exc))
         return EXIT_SYMMETRY

@@ -9,7 +9,7 @@ prediction.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .combinatorics import (
@@ -72,12 +72,14 @@ def brute_force_average(worth: SymmetricWorth, cap: int | None = None) -> float:
     per-m cached scan. The sum is exact, so the result is the correctly
     rounded float of the true mean.
     """
-    m = worth.m
-    _check_cap(m, cap)
-    stats = _cached_stats(m)
+    _check_cap(worth.m, cap)
+    return _mean_worth(worth, _cached_stats(worth.m))
+
+
+def _mean_worth(worth: SymmetricWorth, stats: PartitionStats) -> float:
     numerators, den = dyadic(worth.by_size)
     total = sum(n * mult for n, mult in zip(numerators, stats.multiplicity))
-    return total / (den * m * sum(stats.choice_counts))  # int / int rounds correctly
+    return total / (den * worth.m * sum(stats.choice_counts))  # int / int rounds correctly
 
 
 def brute_force_multiplicities(m: int, cap: int | None = None) -> PartitionStats:
@@ -154,9 +156,6 @@ class VerificationReport:
         return (self.count_matches and self.multiplicity_matches
                 and self.choice_counts_match and self.averages_match)
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
-
 
 def _relative_gap(a: float, b: float) -> float:
     scale = max(abs(a), abs(b))
@@ -182,7 +181,7 @@ def oracle_suite(m: int, trials: int = 1000, seed: int = 0,
     if trials > MAX_TRIALS:
         raise TooManySamples(f"{trials} trials exceed the bound of {MAX_TRIALS}")
     _check_cap(m, cap)
-    enumerated = _cached_stats(m)  # the walk the trials' brute_force_average reads
+    enumerated = _cached_stats(m)  # the one walk: counts and trials read it
     bell = build_bell_table(m)
     closed = partition_stats(m, bell)
     n_partitions = sum(enumerated.choice_counts)
@@ -191,7 +190,7 @@ def oracle_suite(m: int, trials: int = 1000, seed: int = 0,
     worst = 0.0
     for _ in range(trials):
         w = SymmetricWorth(m=m, by_size=tuple(rng.uniform(-1.0, 1.0) for _ in range(m)))
-        gap = _relative_gap(brute_force_average(w, cap=cap), average_worth(w, bell))
+        gap = _relative_gap(_mean_worth(w, enumerated), average_worth(w, bell))
         worst = max(worst, gap)
 
     return VerificationReport(

@@ -19,7 +19,7 @@ shared rank-one term, so its value at the point and its norm are O(m).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cmp_to_key
 
 from .combinatorics import BellTable, block_multiplicities
@@ -146,9 +146,6 @@ class PredictionReport:
     chosen_size: int
     degenerate: bool
     notes: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "argmin_set": sorted(self.argmin_set)}
 
 
 def predict(point: SymmetricWorth, bell: BellTable) -> PredictionReport:

@@ -42,6 +42,13 @@ class TestPredict:
         assert report["distances"] == pytest.approx([0.419, 0.463, 0.128], abs=5e-4)
         assert err == ""
 
+    def test_tied_sizes_printed_as_a_sorted_list(self, capsys, tmp_path):
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps({"m": 3, "by_size": [0, 0, 0]}))  # on every plane
+        code, out, _ = run(capsys, "predict", str(path))
+        assert code == 0
+        assert json.loads(out)["argmin_set"] == [1, 2, 3]
+
     def test_byte_stable(self, capsys, game_file):
         _, first, _ = run(capsys, "predict", game_file)
         _, second, _ = run(capsys, "predict", game_file)
@@ -335,6 +342,12 @@ class TestEnumerate:
         assert code == 0 and err == ""
         assert out == "".join(" ".join(map(str, labels)) + "\n" for labels in rgs(8))
 
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_small_m_lines_are_the_reference(self, capsys, m):
+        code, out, err = run(capsys, "enumerate", "--m", str(m))
+        assert code == 0 and err == ""
+        assert out == "".join(" ".join(map(str, labels)) + "\n" for labels in rgs(m))
+
     def test_cap_exceeded(self, capsys):
         code, _, err = run(capsys, "enumerate", "--m", "13")
         assert code == 4
@@ -431,6 +444,25 @@ def test_json_key_order_is_pinned(capsys, game_file, argv, keys):
     code, out, _ = run(capsys, *(game_file if arg == "GAME" else arg for arg in argv))
     assert code == 0
     assert list(json.loads(out)) == keys
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "GAME"], ["average", "GAME"], ["simulate", "GAME"], ["planes", "--m", "3"],
+    ["stats", "--m", "3"], ["enumerate", "--m", "11"], ["verify", "--m", "3", "--trials", "2"],
+], ids=lambda argv: argv[0])
+def test_closed_stdout_exits_0_quietly(game_file, argv):
+    """A reader that closed stdout before the run starts gets exit 0 and nothing on stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(coalition_forecast.__file__))
+    try:
+        done = subprocess.run([sys.executable, "-m", "coalition_forecast.cli",
+                               *(game_file if arg == "GAME" else arg for arg in argv)],
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr.decode()) == (0, "")
 
 
 def test_cli_import_leaves_numpy_out():

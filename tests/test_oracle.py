@@ -192,13 +192,6 @@ class TestOracleSuite:
         assert report.bell_value == 15
         assert report.max_average_rel_err == 0.0
 
-    def test_report_serializes(self):
-        d = oracle_suite(3, trials=10, seed=1).to_dict()
-        assert d["passed"] is True
-        assert d["m"] == 3
-        assert set(d) >= {"count_matches", "multiplicity_matches",
-                          "choice_counts_match", "averages_match"}
-
     def test_walks_the_enumeration_once(self, monkeypatch):
         walks = []
         walker = oracle._rgs_prefixes
@@ -211,6 +204,18 @@ class TestOracleSuite:
         oracle._cached_stats.cache_clear()  # a fresh walk, not one an earlier test left
         assert oracle_suite(5, trials=3, seed=0).passed
         assert walks == [5]
+
+    def test_checks_the_cap_once(self, monkeypatch):
+        checks = []
+        check = oracle._check_cap
+
+        def counted(m, cap):
+            checks.append(m)
+            check(m, cap)
+
+        monkeypatch.setattr(oracle, "_check_cap", counted)
+        assert oracle_suite(5, trials=3, seed=0).passed
+        assert checks == [5]  # not once more per trial
 
     def test_trials_bounded_before_any_work(self, monkeypatch):
         monkeypatch.setattr(oracle, "_rgs_prefixes", None)  # any walk would fail

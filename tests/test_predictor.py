@@ -199,11 +199,6 @@ class TestPredict:
         assert report.argmin_set == frozenset({3})
         assert report.chosen_size == 3
 
-    def test_report_serializes(self):
-        report = predict(SYNERGY, BELL).to_dict()
-        assert report["argmin_set"] == [3]
-        assert len(report["distances"]) == 3
-
 
 def rel_gap(a, b):
     scale = max(abs(a), abs(b))
