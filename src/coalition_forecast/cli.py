@@ -106,7 +106,7 @@ def _load_game(path: str, tolerance: float | None) -> SymmetricWorth:
             obj = json.load(handle)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ValueError(f"invalid JSON in {path}: {exc}") from exc
     return game_worth(obj, tolerance)
 

@@ -8,14 +8,12 @@ enumeration is feasible.
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import EnumerationTooLarge
 
 DEFAULT_ENUMERATION_CAP = 12
-_CAP_ENV_VAR = "COALITION_FORECAST_ENUM_CAP"
 
 
 @dataclass(frozen=True)
@@ -111,23 +109,18 @@ def _rgs_prefixes(m: int) -> Iterator[tuple[list[int], list[int], int]]:
 
 
 def _check_cap(m: int, cap: int | None) -> None:
-    """m against the cap: the argument, else COALITION_FORECAST_ENUM_CAP, else 12.
+    """m against the cap: the argument, else 12.
 
     Callers check it before any work, so it computes nothing that grows with m.
     """
     if m < 1:
         raise ValueError("m must be positive")
-    source, effective = "the enumeration cap", cap
     if cap is None:
-        source, effective = _CAP_ENV_VAR, os.environ.get(_CAP_ENV_VAR, DEFAULT_ENUMERATION_CAP)
-        try:
-            effective = int(effective)
-        except ValueError:
-            pass  # not an integer: named as given in the error below
-    if isinstance(effective, str) or effective < 1:
-        raise ValueError(f"{source} must be a positive integer, got {effective!r}")
-    if m > effective:
-        raise EnumerationTooLarge(f"enumeration too large: m={m} exceeds the cap m={effective}")
+        cap = DEFAULT_ENUMERATION_CAP
+    elif cap < 1:
+        raise ValueError(f"the enumeration cap must be a positive integer, got {cap!r}")
+    if m > cap:
+        raise EnumerationTooLarge(f"enumeration too large: m={m} exceeds the cap m={cap}")
 
 
 def enumerate_partitions(m: int, cap: int | None = None) -> Iterator[SetPartition]:
@@ -135,8 +128,7 @@ def enumerate_partitions(m: int, cap: int | None = None) -> Iterator[SetPartitio
 
     Yields exactly B_m canonical partitions, deterministically. Raises
     EnumerationTooLarge up front when m exceeds the cap (default 12,
-    overridable via the COALITION_FORECAST_ENUM_CAP environment variable
-    or the cap argument).
+    overridable via the cap argument).
     """
     _check_cap(m, cap)
 

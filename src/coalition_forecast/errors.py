@@ -2,7 +2,9 @@
 
 `worth`, `combinatorics` and `replicator` raise them and re-export them, so
 they import from either place; the CLI reads them from here, so mapping an
-error to its exit code loads no module a command did not run.
+error to its exit code loads no module a command did not run. MAX_SAMPLES,
+the bound behind TooManySamples, lives here too, so `replicator` and `oracle`
+share it.
 """
 
 
@@ -30,5 +32,8 @@ class IntegrationError(RuntimeError):
     """Integration aborted: non-finite state or a vanished population."""
 
 
+MAX_SAMPLES = 1_000_000
+
+
 class TooManySamples(ValueError):
-    """A run would record over MAX_SAMPLES states after t=0, or draw over MAX_TRIALS trials."""
+    """A run would record over MAX_SAMPLES states after t=0, or draw over MAX_SAMPLES trials."""

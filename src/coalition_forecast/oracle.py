@@ -20,7 +20,7 @@ from .combinatorics import (
     build_bell_table,
     partition_stats,
 )
-from .errors import TooManySamples
+from .errors import MAX_SAMPLES, TooManySamples
 from .predictor import average_worth, predict
 from .worth import (
     CharacteristicFunction,
@@ -30,9 +30,6 @@ from .worth import (
     float_or_none,
     reduce_to_symmetric,
 )
-
-MAX_TRIALS = 1_000_000  # the bound of replicator.MAX_SAMPLES, for oracle_suite's trials
-
 
 def _scan_stats(m: int) -> PartitionStats:
     """Block-size and fixed-agent counts, one enumerated partition at a time.
@@ -178,8 +175,8 @@ def oracle_suite(m: int, trials: int = 1000, seed: int = 0,
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    if trials > MAX_TRIALS:
-        raise TooManySamples(f"{trials} trials exceed the bound of {MAX_TRIALS}")
+    if trials > MAX_SAMPLES:
+        raise TooManySamples(f"{trials} trials exceed the bound of {MAX_SAMPLES}")
     _check_cap(m, cap)
     enumerated = _cached_stats(m)  # the one walk: counts and trials read it
     bell = build_bell_table(m)

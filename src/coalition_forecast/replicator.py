@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 
 from .combinatorics import BellTable, partition_stats
-from .errors import IntegrationError, TooManySamples
+from .errors import MAX_SAMPLES, IntegrationError, TooManySamples
 from .predictor import average_worth
 from .worth import SymmetricWorth, dyadic, float_or_none, per_capita_vector
 
@@ -29,7 +29,6 @@ class Mode(enum.Enum):
 
 
 DEFAULT_STEP_SIZE = 0.01
-MAX_SAMPLES = 1_000_000
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -80,7 +79,6 @@ class DynamicsConfig:
 @dataclass(frozen=True)
 class Trajectory:
     states: tuple[ReplicatorState, ...]
-    terminal_residuals: tuple[float | None, ...]  # None: beyond the float range
     clamp_events: int
     max_simplex_drift: float
 
@@ -127,8 +125,9 @@ def integrate(start: ReplicatorState, worth: SymmetricWorth,
     x(t) is normalized, the softmax of log x_k(0) + p_k t, whose exponents
     are never positive. A paper-mode state beyond the float range raises
     IntegrationError. Extinct strategies stay exactly 0, clamp_events is 0,
-    and max_simplex_drift is the largest |sum(x) - 1| over the states. A
-    terminal residual beyond the float range is None.
+    and max_simplex_drift is the largest |sum(x) - 1| over the states.
+    rest_point_check(trajectory.terminal, ...) reports the terminal payoff
+    deviations.
     """
     if start.m != worth.m:
         raise ValueError(f"start has m={start.m} but worth has m={worth.m}")
@@ -165,14 +164,12 @@ def integrate(start: ReplicatorState, worth: SymmetricWorth,
             raise IntegrationError(f"non-finite frequencies at t={t:g}: the growth "
                                    f"exp((p_k - v~) t) leaves the float range") from None
 
-    terminal = states[-1].frequencies
     try:
         drift = max(abs(math.fsum(state.frequencies) - 1.0) for state in states)
     except OverflowError:  # a total beyond the float range
         drift = math.inf
     return Trajectory(
         states=tuple(states),
-        terminal_residuals=tuple(_payoff_deviation(terminal, payoffs, config.mode, worth, bell)),
         clamp_events=0,
         max_simplex_drift=drift,
     )

@@ -82,6 +82,13 @@ class TestPredict:
         assert code == 2
         assert "invalid JSON" in json.loads(err)["message"]
 
+    def test_non_utf8_file_names_the_file(self, capsys, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b'\xff\xfe{"m": 1, "by_size": [1]}')
+        code, out, err = run(capsys, "predict", str(path))
+        assert code == 2 and out == ""
+        assert json.loads(err)["message"].startswith(f"invalid JSON in {path}: 'utf-8' codec")
+
     @pytest.mark.parametrize("game, nulls, chosen", [
         ({"m": 8, "by_size": [1.7e308] + [-1.7e308] * 7},
          {"residuals": [1], "distances": [1]}, 8),
@@ -374,13 +381,12 @@ class TestEnumerate:
         assert code == 2 and out == ""
         assert "must be a positive integer" in json.loads(err)["message"]
 
-    def test_cap_below_one_from_environment_exits_2(self, capsys, monkeypatch):
-        for raw in ("-1", "abc"):
-            monkeypatch.setenv("COALITION_FORECAST_ENUM_CAP", raw)
-            code, out, err = run(capsys, "enumerate", "--m", "3")
-            assert code == 2 and out == ""
-            message = json.loads(err)["message"]
-            assert "COALITION_FORECAST_ENUM_CAP must be a positive integer" in message
+    def test_cap_ignores_the_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("COALITION_FORECAST_ENUM_CAP", "3")
+        code, out, err = run(capsys, "enumerate", "--m", "4")
+        assert code == 0 and err == ""
+        assert out == "".join(" ".join(map(str, labels)) + "\n" for labels in rgs(4))
+        assert len(out.splitlines()) == 15
 
 
 class TestStats:

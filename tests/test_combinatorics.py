@@ -145,12 +145,6 @@ class TestEnumeratePartitions:
             enumerate_partitions(5, cap=4)
         assert sum(1 for _ in enumerate_partitions(5, cap=5)) == 52
 
-    def test_env_cap_override(self, monkeypatch):
-        monkeypatch.setenv("COALITION_FORECAST_ENUM_CAP", "3")
-        with pytest.raises(EnumerationTooLarge):
-            enumerate_partitions(4)
-        assert sum(1 for _ in enumerate_partitions(3)) == 5
-
 
 def brute_force_counts(m):
     """Oracle: count size-k blocks and element-0 block sizes by enumeration."""

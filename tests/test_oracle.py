@@ -70,8 +70,7 @@ class TestBruteForceAverage:
         with pytest.raises(EnumerationTooLarge):
             brute_force_average(SymmetricWorth(m=5, by_size=(0.0,) * 5), cap=4)
 
-    def test_cap_argument_overrides_environment(self, monkeypatch):
-        monkeypatch.setenv("COALITION_FORECAST_ENUM_CAP", "4")
+    def test_cap_argument_admits_its_m(self):
         oracle._cached_stats.cache_clear()  # make the call below run its scan
         worth = SymmetricWorth(m=5, by_size=(1.0, 0.0, 0.0, 0.0, 0.0))
         # a fixed agent is a singleton in B_4 = 15 of the B_5 = 52 structures

@@ -146,23 +146,26 @@ class TestIntegrate:
 
     def test_recording_cadence_and_final_state(self):
         start = initial_frequencies(3, BELL)
-        config = DynamicsConfig(mode=Mode.FREQUENCY_WEIGHTED, step_size=0.1,
-                                horizon=1.05, record_every=3)
-        trajectory = integrate(start, SYNERGY, config, BELL)
-        times = [state.time for state in trajectory.states]
-        assert times[0] == 0.0
-        assert times == sorted(times)
-        assert len(times) == len(set(times))
-        # 10 steps of 0.1: records at steps 3, 6, 9 plus the forced final step 10
-        assert times == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0])
+        # 10 steps of 0.1: records at steps 3, 6, 9 plus the forced final step 10;
+        # round(1.0 / 0.6) = 2 steps of 0.6: the last sample lies past the horizon
+        for step, horizon, every, expected in ((0.1, 1.05, 3, [0.0, 0.3, 0.6, 0.9, 1.0]),
+                                               (0.6, 1.0, 1, [0.0, 0.6, 1.2])):
+            config = DynamicsConfig(mode=Mode.FREQUENCY_WEIGHTED, step_size=step,
+                                    horizon=horizon, record_every=every)
+            trajectory = integrate(start, SYNERGY, config, BELL)
+            times = [state.time for state in trajectory.states]
+            assert times[0] == 0.0
+            assert times == sorted(times)
+            assert len(times) == len(set(times))
+            assert times == pytest.approx(expected)
 
     def test_terminal_residuals_reported(self):
         start = initial_frequencies(3, BELL)
         config = DynamicsConfig(mode=Mode.PAPER_CONSTANT_AVERAGE, step_size=0.01,
                                 horizon=1.0, record_every=10)
-        trajectory = integrate(start, SYNERGY, config, BELL)
-        assert trajectory.terminal_residuals == pytest.approx((-4 / 15, 7 / 30, 1 / 15),
-                                                              rel=1e-12)
+        terminal = integrate(start, SYNERGY, config, BELL).terminal
+        report = rest_point_check(terminal, SYNERGY, config.mode, BELL, 1e-9)
+        assert report.payoff_deviations == pytest.approx((-4 / 15, 7 / 30, 1 / 15), rel=1e-12)
 
     def test_coarse_step_is_exact_without_clamping(self):
         # a fixed-step integrator overshoots below 0 here (h * rate = 50)
@@ -216,7 +219,6 @@ class TestIntegrate:
         weighted = Mode.FREQUENCY_WEIGHTED
         for start in (initial_frequencies(6, bell), uniform_frequencies(6)):
             trajectory = integrate(start, worth, DynamicsConfig(mode=weighted), bell)
-            assert trajectory.terminal_residuals == (0.0, None, None, None, None, None)
             report = rest_point_check(trajectory.terminal, worth, weighted, bell, 1e-9)
             assert report.payoff_deviations == (0.0, None, None, None, None, None)
             assert report.growth_rates == (0.0,) * 6  # extinct: 0.0, never NaN
