@@ -116,6 +116,22 @@ def _payoff_deviation(x, payoffs, mode: Mode, worth: SymmetricWorth,
     return [None if average is None else float_or_none(p - average) for p in payoffs]
 
 
+def _unchecked_state(time: float, frequencies: tuple[float, ...]) -> ReplicatorState:
+    """A ReplicatorState built without __post_init__, for values already checked."""
+    state = object.__new__(ReplicatorState)
+    fields = state.__dict__
+    fields["time"], fields["frequencies"] = time, frequencies
+    return state
+
+
+def _total(x) -> float:
+    """math.fsum(x), or inf where its partial sums pass the float maximum."""
+    try:
+        return math.fsum(x)
+    except OverflowError:
+        return math.inf
+
+
 def integrate(start: ReplicatorState, worth: SymmetricWorth,
               config: DynamicsConfig, bell: BellTable) -> Trajectory:
     """The exact solution at t=0 and at the recorded times.
@@ -124,10 +140,11 @@ def integrate(start: ReplicatorState, worth: SymmetricWorth,
     mode; in weighted mode s is the top payoff of a surviving strategy and
     x(t) is normalized, the softmax of log x_k(0) + p_k t, whose exponents
     are never positive. A paper-mode state beyond the float range raises
-    IntegrationError. Extinct strategies stay exactly 0, clamp_events is 0,
-    and max_simplex_drift is the largest |sum(x) - 1| over the states.
-    rest_point_check(trajectory.terminal, ...) reports the terminal payoff
-    deviations.
+    IntegrationError. Each sample is checked once, as it is computed, so
+    the returned states are not checked again. Extinct strategies stay
+    exactly 0, clamp_events is 0, and max_simplex_drift is the largest
+    |sum(x) - 1| over the states. rest_point_check(trajectory.terminal, ...)
+    reports the terminal payoff deviations.
     """
     if start.m != worth.m:
         raise ValueError(f"start has m={start.m} but worth has m={worth.m}")
@@ -138,7 +155,6 @@ def integrate(start: ReplicatorState, worth: SymmetricWorth,
         raise TooManySamples(f"horizon {config.horizon:g} at step {h:g}, recording every "
                              f"{every}, needs more than {MAX_SAMPLES} samples")
     n_steps = round(config.horizon / h)
-    times = [step * h for step in range(every, n_steps, every)] + [n_steps * h]
     payoffs = per_capita_vector(worth)
     x0 = start.frequencies
     weighted = config.mode is Mode.FREQUENCY_WEIGHTED
@@ -152,22 +168,29 @@ def integrate(start: ReplicatorState, worth: SymmetricWorth,
     # rate 0 for an extinct strategy: 0 * exp(0) stays 0 whatever its payoff
     rates = [p - shift if x > 0.0 else 0.0 for x, p in zip(x0, payoffs)]
 
-    states = [ReplicatorState(time=0.0, frequencies=x0)]
-    for t in times:
+    states = [_unchecked_state(0.0, x0)]  # start checked x0 when it was built
+    drift = abs(_total(x0) - 1.0)
+    # every record_every-th step, then n_steps: min() turns the range's last into it
+    for step in range(every, n_steps + every, every):
+        t = min(step, n_steps) * h
         try:
             x = [xk * math.exp(r * t) for xk, r in zip(x0, rates)]
             if weighted:  # fsum rounds once, so every Python prints the same bytes
                 total = math.fsum(x)  # at least the top strategy's x_k(0) > 0
                 x = [xk / total for xk in x]
-            states.append(ReplicatorState(time=t, frequencies=tuple(x)))
-        except (OverflowError, ValueError):  # math.exp, or ReplicatorState on inf
+        except OverflowError:  # math.exp, or the total to normalize
+            finite = False
+        else:
+            total = _total(x)
+            # entries are non-negative: an inf or NaN one makes the total inf or
+            # NaN, as can finite ones in paper mode (drift inf). t = inf needs no
+            # check: the top payoff's rate is 0 or more, so its entry is inf or NaN
+            finite = total <= _FLOAT_MAX or all(xk <= _FLOAT_MAX for xk in x)
+        if not finite:
             raise IntegrationError(f"non-finite frequencies at t={t:g}: the growth "
-                                   f"exp((p_k - v~) t) leaves the float range") from None
-
-    try:
-        drift = max(abs(math.fsum(state.frequencies) - 1.0) for state in states)
-    except OverflowError:  # a total beyond the float range
-        drift = math.inf
+                                   f"exp((p_k - v~) t) leaves the float range")
+        drift = max(drift, abs(total - 1.0))
+        states.append(_unchecked_state(t, tuple(x)))
     return Trajectory(
         states=tuple(states),
         clamp_events=0,

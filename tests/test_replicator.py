@@ -1,6 +1,7 @@
 """Replicator dynamics: initial conditions, vector field, integration, rest points."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -286,6 +287,69 @@ class TestIntegrate:
         config = DynamicsConfig(mode=Mode.PAPER_CONSTANT_AVERAGE, step_size=0.01, horizon=1.0)
         with pytest.raises(IntegrationError, match="non-finite"):
             integrate(start, worth, config, build_bell_table(2))
+
+    def test_product_overflow_aborts(self):
+        # math.exp stays finite; only the product x_k(0) * exp(r t) passes the float maximum
+        worth = SymmetricWorth(m=2, by_size=(1.0, 0.0))
+        start = ReplicatorState(time=0.0, frequencies=(1.5e308, 0.5))
+        config = DynamicsConfig(mode=Mode.PAPER_CONSTANT_AVERAGE, step_size=0.5, horizon=1.0)
+        with pytest.raises(IntegrationError, match="non-finite frequencies at t=0.5"):
+            integrate(start, worth, config, build_bell_table(2))
+
+    def test_infinite_entry_behind_an_overflowing_total_aborts(self):
+        # payoffs (0, 0, 1) against the average 0.2: at t=0.5 the first two entries
+        # overflow fsum's partial sums before it reaches the third, which is inf
+        worth = SymmetricWorth(m=3, by_size=(0.0, 0.0, 3.0))
+        start = ReplicatorState(time=0.0, frequencies=(1e308, 1e308, 1.5e308))
+        config = DynamicsConfig(mode=Mode.PAPER_CONSTANT_AVERAGE, step_size=0.5, horizon=1.0)
+        with pytest.raises(IntegrationError, match="non-finite frequencies at t=0.5"):
+            integrate(start, worth, config, BELL)
+
+    def test_time_beyond_float_range_aborts(self):
+        # round(1 / 0.6) = 2 steps: the last sample time 1.2 * max is inf
+        start = ReplicatorState(time=0.0, frequencies=(0.5, 0.5, 0.0))
+        for mode in Mode:
+            config = DynamicsConfig(mode=mode, step_size=0.6 * sys.float_info.max,
+                                    horizon=sys.float_info.max)
+            with pytest.raises(IntegrationError, match="non-finite frequencies at t=inf"):
+                integrate(start, FLAT, config, BELL)
+
+    def test_first_state_is_at_time_zero(self):
+        start = ReplicatorState(time=3.0, frequencies=(0.4, 0.4, 0.2))
+        for mode in Mode:
+            config = DynamicsConfig(mode=mode, step_size=0.5, horizon=1.0)
+            first = integrate(start, SYNERGY, config, BELL).states[0]
+            assert first.time == 0.0
+            assert first.frequencies == start.frequencies
+
+    def test_returned_states_pass_validation(self):
+        for mode in Mode:
+            config = DynamicsConfig(mode=mode, step_size=0.1, horizon=20.0, record_every=7)
+            for state in integrate(initial_frequencies(3, BELL), SYNERGY, config, BELL).states:
+                assert state == ReplicatorState(time=state.time, frequencies=state.frequencies)
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda mode: mode.name)
+    def test_dense_samples_are_the_direct_formula_bit_for_bit(self, mode):
+        # each sample is x_k(0) * exp(r_k * step * h), never a recurrence in exp(r_k h)
+        m, h = 20, 0.01
+        bell = build_bell_table(m)
+        worth = SymmetricWorth(m=m, by_size=tuple(math.sin(k) * k for k in range(1, m + 1)))
+        start = initial_frequencies(m, bell)
+        config = DynamicsConfig(mode=mode, step_size=h, horizon=20.0)
+        states = integrate(start, worth, config, bell).states
+        assert len(states) == 2001
+        x0 = start.frequencies
+        payoffs = [v / k for k, v in enumerate(worth.by_size, start=1)]
+        weighted = mode is Mode.FREQUENCY_WEIGHTED
+        shift = max(payoffs) if weighted else average_worth(worth, bell)
+        rates = [p - shift for p in payoffs]
+        for step, state in enumerate(states):
+            x = [xk * math.exp(r * (step * h)) for xk, r in zip(x0, rates)] if step else x0
+            if weighted and step:
+                total = math.fsum(x)
+                x = [xk / total for xk in x]
+            assert state.time == step * h
+            assert state.frequencies == tuple(x)
 
 
 def _rk4(x, payoffs, constant_average, weighted, h, n_steps):
