@@ -1,10 +1,10 @@
 """Command-line entry point with JSON input and output.
 
-Exit codes: 0 success, 2 input validation failure, 3 symmetry violation,
-4 enumeration cap or sample limit exceeded, 5 oracle mismatch. Every error
-goes to stderr as a single-line JSON object {"error": code, "message": text}.
-Each command returns its exit code and its records, and `main` writes them
-through `_write`; a stdout closed by its reader ends the run with exit 0.
+Exit codes: 0 success, 2 input validation failure, 3 symmetry violation, 4
+enumeration cap, closed-form bound or sample limit exceeded, 5 oracle mismatch.
+Every error goes to stderr as a single-line JSON object {"error": code,
+"message": text}. Each command returns its exit code and its records, and
+`main` writes them through `_write`; a stdout closed by its reader exits 0.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ import argparse
 import json
 import sys
 
-from .errors import EnumerationTooLarge, IntegrationError, SymmetryViolation, TooManySamples
+from .errors import (ClosedFormTooLarge, EnumerationTooLarge, IntegrationError,
+                     SymmetryViolation, TooManySamples)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -112,12 +113,10 @@ def _load_game(path: str, tolerance: float | None) -> SymmetricWorth:
 
 
 def _bell_table(m: int) -> BellTable:
-    """B_0..B_m for a closed form at m; m < 1 fails first, as the closed forms fail it."""
+    """B_0..B_m for a closed form at m; at m < 1, B_0 alone, and the closed form refuses m."""
     from .combinatorics import build_bell_table
 
-    if m < 1:
-        raise ValueError("m must be positive")
-    return build_bell_table(m)
+    return build_bell_table(max(m, 0))
 
 
 def _cmd_predict(args: argparse.Namespace) -> tuple[int, list[dict]]:
@@ -267,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     except SymmetryViolation as exc:
         _emit_error(EXIT_SYMMETRY, str(exc))
         return EXIT_SYMMETRY
-    except (EnumerationTooLarge, TooManySamples) as exc:
+    except (ClosedFormTooLarge, EnumerationTooLarge, TooManySamples) as exc:
         _emit_error(EXIT_CAP, str(exc))
         return EXIT_CAP
     except (IntegrationError, ValueError) as exc:

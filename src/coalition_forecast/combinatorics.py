@@ -10,8 +10,9 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .errors import EnumerationTooLarge
+from .errors import MAX_CLOSED_FORM_M, ClosedFormTooLarge, EnumerationTooLarge
 
 DEFAULT_ENUMERATION_CAP = 12
 
@@ -38,21 +39,28 @@ class BellTable:
         return self.values[i]
 
 
+_bell = ((1,), [1])  # B_0..B_M and the triangle's last row, for the largest M built so far
+
+
 def build_bell_table(max_index: int) -> BellTable:
-    """Bell numbers via the Bell triangle.
+    """Bell numbers via the Bell triangle, kept for the largest index asked so far.
 
     Each row of the triangle starts with the last entry of the previous row
-    and accumulates partial sums; the row head is the next Bell number.
+    and accumulates partial sums; the row head is the next Bell number. Past
+    MAX_CLOSED_FORM_M it raises ClosedFormTooLarge before building any row.
     """
-    values = [1]
-    row = [1]
-    for _ in range(max_index):
-        nxt = [row[-1]]
-        for entry in row:
-            nxt.append(nxt[-1] + entry)
-        row = nxt
-        values.append(row[0])
-    return BellTable(max_index=max_index, values=tuple(values))
+    global _bell
+    if max_index > MAX_CLOSED_FORM_M:
+        raise ClosedFormTooLarge(f"closed form too large: m={max_index} exceeds "
+                                 f"the bound m={MAX_CLOSED_FORM_M}")
+    values, row = _bell
+    if max_index >= len(values):  # extend in locals, publish in one assignment
+        values = [*values]
+        for _ in range(len(values), max_index + 1):
+            row = list(accumulate(row, initial=row[-1]))
+            values.append(row[0])
+        _bell = values, row = tuple(values), row
+    return BellTable(max_index=max_index, values=values[:max_index + 1])
 
 
 @dataclass(frozen=True)

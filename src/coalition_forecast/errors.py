@@ -2,9 +2,9 @@
 
 `worth`, `combinatorics` and `replicator` raise them and re-export them, so
 they import from either place; the CLI reads them from here, so mapping an
-error to its exit code loads no module a command did not run. MAX_SAMPLES,
-the bound behind TooManySamples, lives here too, so `replicator` and `oracle`
-share it.
+error to its exit code loads no module a command did not run. The bounds
+live here too: MAX_SAMPLES, behind TooManySamples, which `replicator` and
+`oracle` share, and MAX_CLOSED_FORM_M, behind ClosedFormTooLarge.
 """
 
 
@@ -33,7 +33,12 @@ class IntegrationError(RuntimeError):
 
 
 MAX_SAMPLES = 1_000_000
+MAX_CLOSED_FORM_M = 1500  # B_1500 has 3 108 digits, below CPython's 4 300-digit str() limit
 
 
 class TooManySamples(ValueError):
     """A run would record over MAX_SAMPLES states after t=0, or draw over MAX_SAMPLES trials."""
+
+
+class ClosedFormTooLarge(ValueError):
+    """A closed form at m beyond MAX_CLOSED_FORM_M, refused before any Bell number is built."""

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cmp_to_key
 
 from .combinatorics import BellTable, block_multiplicities
 from .worth import SymmetricWorth, dyadic, float_or_none
@@ -154,18 +153,19 @@ def predict(point: SymmetricWorth, bell: BellTable) -> PredictionReport:
     The worth vector is treated as a point in m-space; the predicted size
     minimizes the normalized distance |r_k| / n_k to the k-th hyperplane.
     Row k is e_k/k - w/D, so r_k = R_k / (k D den) and n_k^2 = Q_k / (k D)^2
-    with Q_k = D^2 - 2 k D w_k + k^2 |w|^2 > 0 for m >= 2. Sizes are compared
-    by R_k^2 / Q_k, cross-multiplied as integers, so ties are exact and the
-    decision is invariant under positive scaling; every tied size is
-    reported and the smallest wins. Floats are for display only.
+    with Q_k = D^2 - 2 k D w_k + k^2 |w|^2 > 0 for m >= 2. The sizes that a float
+    filter keeps near the least R_k^2 / Q_k are compared cross-multiplied as
+    integers, so ties are exact and the decision is invariant under positive
+    scaling; every tied size is reported and the smallest wins. Floats are for
+    display only.
     """
     m = point.m
     weights, unit, den, total, exact = _exact_average(point, bell)
-    exact_residuals = list(exact)
+    nums, dens = zip(*exact)
     w_sq = sum(w * w for w in weights)
     norms_sq = [unit * unit - 2 * k * unit * w + k * k * w_sq
                 for k, w in enumerate(weights, start=1)]
-    eps = tuple(float_or_none(*ratio) for ratio in exact_residuals)
+    eps = tuple(map(float_or_none, nums, dens))
     degenerate = m == 1
     notes = []
     if degenerate:
@@ -176,10 +176,19 @@ def predict(point: SymmetricWorth, bell: BellTable) -> PredictionReport:
     else:
         dists = tuple(None if r is None else float_or_none(abs(r), math.sqrt(q / (k * unit) ** 2))
                       for k, (r, q) in enumerate(zip(eps, norms_sq), start=1))
-        sq = [r * r for r, _ in exact_residuals]
-        by_ratio = cmp_to_key(lambda i, j: sq[i] * norms_sq[j] - sq[j] * norms_sq[i])
-        best = min(map(by_ratio, range(m)))
-        argmin = frozenset(i + 1 for i in range(m) if by_ratio(i) == best)
+        # Filter, then decide exactly (Shewchuk, DCG 18, 1997): log2 reads an int with
+        # relative error <= 2^-53, so for libm within u ulps and L >= 1 above every log2
+        # each 2a - b errs by <= 2^-52 (6u + 7) L. For u <= 300 the margin 2^-40 L holds
+        # every exact minimizer, the bound's rounding too; R_k = 0, the minimum, is -inf.
+        lr = [math.log2(abs(r)) if r else -math.inf for r in nums]
+        lq = list(map(math.log2, norms_sq))
+        logs = [2 * a - b for a, b in zip(lr, lq)]
+        bound = min(logs) + max(1.0, *lr, *lq) * 2.0 ** -40
+        ties = []  # each size within the margin is cross-multiplied once, with ties[0]
+        for i in [i for i, x in enumerate(logs) if x <= bound]:
+            c = nums[i] ** 2 * norms_sq[ties[0]] - nums[ties[0]] ** 2 * norms_sq[i] if ties else -1
+            ties = [i] if c < 0 else [*ties, i] if c == 0 else ties
+        argmin = frozenset(i + 1 for i in ties)
     chosen = min(argmin)
     if m % chosen != 0:
         notes.append(

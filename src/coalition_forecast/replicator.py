@@ -155,6 +155,8 @@ def integrate(start: ReplicatorState, worth: SymmetricWorth,
         raise TooManySamples(f"horizon {config.horizon:g} at step {h:g}, recording every "
                              f"{every}, needs more than {MAX_SAMPLES} samples")
     n_steps = round(config.horizon / h)
+    if n_steps * h > _FLOAT_MAX:  # the last sample time
+        raise ValueError(f"horizon {config.horizon:g} at step {h:g} ends beyond the float range")
     payoffs = per_capita_vector(worth)
     x0 = start.frequencies
     weighted = config.mode is Mode.FREQUENCY_WEIGHTED
@@ -183,19 +185,14 @@ def integrate(start: ReplicatorState, worth: SymmetricWorth,
         else:
             total = _total(x)
             # entries are non-negative: an inf or NaN one makes the total inf or
-            # NaN, as can finite ones in paper mode (drift inf). t = inf needs no
-            # check: the top payoff's rate is 0 or more, so its entry is inf or NaN
+            # NaN, as can finite ones in paper mode (drift inf)
             finite = total <= _FLOAT_MAX or all(xk <= _FLOAT_MAX for xk in x)
         if not finite:
             raise IntegrationError(f"non-finite frequencies at t={t:g}: the growth "
                                    f"exp((p_k - v~) t) leaves the float range")
         drift = max(drift, abs(total - 1.0))
         states.append(_unchecked_state(t, tuple(x)))
-    return Trajectory(
-        states=tuple(states),
-        clamp_events=0,
-        max_simplex_drift=drift,
-    )
+    return Trajectory(states=tuple(states), clamp_events=0, max_simplex_drift=drift)
 
 
 @dataclass(frozen=True)

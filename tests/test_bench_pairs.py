@@ -1,0 +1,40 @@
+"""tools/bench_pairs.py: the summary it writes for each workload."""
+
+import importlib.util
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def run(rate, p50, failed=0):
+    return {"attempted": 100, "failed": failed,
+            "metrics": {"requests_per_s": rate, "latency_p50_ms": p50}}
+
+
+def test_spread_of_one_run_is_that_run():
+    assert bench_pairs.spread([2.5]) == {"median": 2.5, "q1": 2.5, "q3": 2.5}
+
+
+def test_summary_counts_wins_in_the_better_direction():
+    pairs = [{"seed": 1, "first": "base", "base": run(100, 2.0), "change": run(120, 1.5)},
+             {"seed": 2, "first": "change", "base": run(110, 2.0), "change": run(105, 2.0)},
+             {"seed": 3, "first": "base", "base": run(90, 2.2), "change": run(130, 1.0, 1)},
+             {"seed": 4, "first": "change", "base": {"error": "exit 1: boom"},
+              "change": run(125, 1.2)}]
+    better = {"requests_per_s": "higher", "latency_p50_ms": "lower"}
+    summary = bench_pairs.summarize(pairs, better)
+    rate = summary["metrics"]["requests_per_s"]
+    assert rate["change_won"] == "2 of 3"  # the errored pair is no pair
+    assert rate["base"] == {"median": 100, "q1": 95.0, "q3": 105.0}
+    assert rate["change"]["median"] == 122.5
+    assert rate["median_change"] == 0.225
+    assert summary["metrics"]["latency_p50_ms"]["change_won"] == "2 of 3"  # a tie wins nothing
+    assert summary["failed"] == {"base": 0, "change": 1}
+    assert summary["errored_runs"] == {"base": 1, "change": 0}
+
+
+def test_pairs_argument_defaults_to_one_pair():
+    assert bench_pairs.parse_pairs(["forecast=3", "referee"]) == {"forecast": 3, "referee": 1}

@@ -291,6 +291,24 @@ def test_closed_form_m_must_be_positive(capsys, command, m):
     assert json.loads(err) == {"error": 2, "message": "m must be positive"}
 
 
+@pytest.mark.parametrize("m", [1501, 10 ** 9])
+@pytest.mark.parametrize("command", ["planes", "stats"])
+def test_closed_form_bound_exits_4_at_once(capsys, command, m):
+    code, out, err = run(capsys, command, "--m", str(m))
+    assert code == 4 and out == ""
+    assert json.loads(err) == {"error": 4, "message": f"closed form too large: m={m} "
+                                                      f"exceeds the bound m=1500"}
+
+
+def test_closed_form_bound_covers_game_files(capsys, tmp_path):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({"m": 1501, "by_size": [1.0] * 1501}))
+    code, out, err = run(capsys, "predict", str(path))
+    assert code == 4 and out == ""
+    assert json.loads(err) == {"error": 4, "message": "closed form too large: m=1501 "
+                                                      "exceeds the bound m=1500"}
+
+
 class TestSimulate:
     def test_jsonl_trajectory(self, capsys, game_file):
         code, out, _ = run(capsys, "simulate", game_file, "--mode", "weighted",
@@ -329,6 +347,16 @@ class TestSimulate:
         assert out.splitlines()[2] == (
             '{"t": 1.0, "x": [0.30454261091888124, 0.4601226512742169, 0.07586844068760688, '
             '0.10427745410247714, 0.05518884301681788]}')
+
+    def test_last_sample_time_beyond_float_range_names_horizon_and_step(self, capsys, tmp_path):
+        # every rate is 0 on this game, so the growth is not at fault
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps({"m": 3, "by_size": [2, 4, 6]}))
+        code, out, err = run(capsys, "simulate", str(path), "--horizon", "1.7e308",
+                             "--step", "1.02e308")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": 2, "message": "horizon 1.7e+308 at step 1.02e+308 "
+                                                          "ends beyond the float range"}
 
     def test_bad_step_rejected(self, capsys, game_file):
         code, _, err = run(capsys, "simulate", game_file, "--step", "5",
@@ -551,6 +579,7 @@ def test_every_public_name_resolves():
 
 @pytest.mark.parametrize("module, name", [
     ("worth", "SymmetryViolation"), ("combinatorics", "EnumerationTooLarge"),
+    ("combinatorics", "ClosedFormTooLarge"),
     ("replicator", "IntegrationError"), ("replicator", "TooManySamples"),
 ])
 def test_errors_keep_their_import_paths(module, name):

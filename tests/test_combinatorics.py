@@ -1,13 +1,18 @@
 """Exact combinatorics: Bell table, partition enumeration, counts."""
 
 import math
+import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coalition_forecast import combinatorics
 from coalition_forecast.combinatorics import (
     BellTable,
+    ClosedFormTooLarge,
     EnumerationTooLarge,
     build_bell_table,
     enumerate_partitions,
@@ -47,8 +52,52 @@ class TestBellTable:
             assert table[i + 1] == sum(math.comb(i, k) * table[k] for k in range(i + 1))
 
     def test_rejects_negative_index(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^max_index must be non-negative$"):
             build_bell_table(-1)
+
+    def test_kept_table_serves_smaller_and_larger_indices(self):
+        build_bell_table(60)
+        bell = [1]  # independent: B_{n+1} = sum_k C(n,k) B_k
+        for n in range(80):
+            bell.append(sum(math.comb(n, k) * bell[k] for k in range(n + 1)))
+        for max_index in (10, 80):
+            table = build_bell_table(max_index)
+            assert table.max_index == max_index
+            assert table.values == tuple(bell[:max_index + 1])
+
+    def test_concurrent_callers_never_see_half_a_table(self, monkeypatch):
+        reference = build_bell_table(240).values
+        wrong, threads = [], []
+
+        def worker(seed):
+            for max_index in random.Random(seed).choices(range(241), k=40):
+                if build_bell_table(max_index).values != reference[:max_index + 1]:
+                    wrong.append(max_index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for rounds in range(10):
+                monkeypatch.setattr(combinatorics, "_bell", ((1,), [1]))  # extend anew
+                batch = [threading.Thread(target=worker, args=(8 * rounds + i,))
+                         for i in range(8)]
+                for thread in batch:
+                    thread.start()
+                for thread in batch:
+                    thread.join(timeout=60)
+                threads += batch
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    @pytest.mark.parametrize("max_index", [1501, 10 ** 9])
+    def test_bound_checked_before_any_row(self, max_index):
+        kept = combinatorics._bell
+        with pytest.raises(ClosedFormTooLarge, match=rf"^closed form too large: "
+                                                     rf"m={max_index} exceeds the bound m=1500$"):
+            build_bell_table(max_index)
+        assert combinatorics._bell is kept
 
     def test_rejects_inconsistent_lengths(self):
         with pytest.raises(ValueError):

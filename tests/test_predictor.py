@@ -1,5 +1,6 @@
 """Average worth, hyperplane system, and the min-distance prediction rule."""
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -17,7 +18,7 @@ from coalition_forecast.predictor import (
     hyperplane_system,
     predict,
 )
-from coalition_forecast.worth import SymmetricWorth, per_capita_vector
+from coalition_forecast.worth import SymmetricWorth, dyadic, per_capita_vector
 
 BELL = build_bell_table(12)
 SYNERGY = SymmetricWorth(m=3, by_size=(0.0, 1.0, 1.0))
@@ -295,3 +296,75 @@ def test_predict_matches_matrix_path():
             best = min(ratios)
             assert report.argmin_set == frozenset(
                 k for k, q in enumerate(ratios, start=1) if q == best)
+
+
+BELL_96 = build_bell_table(96)
+
+
+@functools.lru_cache(maxsize=None)
+def integer_rows(m):
+    return hyperplane_system(m, BELL_96).integer_rows
+
+
+def exact_argmin(point):
+    """The all-exact ranking: R_k^2 / Q_k as Fractions from the full integer rows.
+
+    The matrix path's ratio for row k is (sum_j a_j p_j / d_k)^2 / sum_j (a_j / d_k)^2;
+    with p_j = n_j / den it is (sum_j a_j n_j)^2 / (den^2 sum_j a_j^2), and den is
+    common to every size, so it is left out.
+    """
+    numerators, _ = dyadic(point.by_size)
+    ratios = [Fraction(sum(a * n for a, n in zip(row, numerators)) ** 2, sum(a * a for a in row))
+              for row in integer_rows(point.m)]
+    best = min(ratios)
+    return frozenset(k for k, q in enumerate(ratios, start=1) if q == best)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dyadic_worth_lists)
+def test_filtered_argmin_matches_exact_ranking_on_ties(by_size):
+    point = SymmetricWorth(m=len(by_size), by_size=tuple(by_size))
+    assert predict(point, BELL_96).argmin_set == exact_argmin(point)
+
+
+@st.composite
+def near_ties(draw):
+    """An exact tie, v(k)/k = c for every k, with one or two worths moved by a few ulps."""
+    m = draw(st.integers(2, 96))
+    c = draw(st.integers(-(2 ** 20), 2 ** 20).filter(bool)) / 2 ** 10
+    by_size = [c * k for k in range(1, m + 1)]
+    for _ in range(draw(st.integers(1, 2))):
+        k = draw(st.integers(0, m - 1))
+        toward = draw(st.sampled_from([math.inf, -math.inf]))
+        for _ in range(draw(st.integers(1, 3))):
+            by_size[k] = math.nextafter(by_size[k], toward)
+    return SymmetricWorth(m=m, by_size=tuple(by_size))
+
+
+@settings(max_examples=60, deadline=None)
+@given(near_ties())
+def test_filtered_argmin_matches_exact_ranking_on_near_ties(point):
+    report = predict(point, BELL_96)
+    assert report.argmin_set == exact_argmin(point)
+    assert report.chosen_size == min(report.argmin_set)
+
+
+@pytest.mark.parametrize("m", [3, 7, 24, 96])
+def test_filtered_argmin_decides_a_switch_point_exactly(m):
+    """One ulp of t apart on a segment where the exact argmin changes: both
+    sides pass the float filter, so the exact comparison alone decides them."""
+    rng = np.random.default_rng(m)  # recorded seed
+
+    def at(t):  # the point x + t (y - x), for the x and y drawn last
+        return SymmetricWorth(m=m, by_size=tuple(float(a + t * (b - a)) for a, b in zip(x, y)))
+
+    while True:
+        x, y = rng.uniform(-1, 1, size=m), rng.uniform(-1, 1, size=m)
+        if exact_argmin(at(0.0)) != exact_argmin(at(1.0)):
+            break
+    lo, hi = 0.0, 1.0
+    while lo < (mid := (lo + hi) / 2) < hi:
+        lo, hi = (mid, hi) if exact_argmin(at(mid)) == exact_argmin(at(0.0)) else (lo, mid)
+    for t in (lo, hi):
+        assert predict(at(t), BELL_96).argmin_set == exact_argmin(at(t))
+    assert predict(at(lo), BELL_96).argmin_set != predict(at(hi), BELL_96).argmin_set

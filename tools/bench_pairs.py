@@ -1,0 +1,147 @@
+"""Benchmark a change against a base revision in alternating pairs; write BENCH_<pr>.json.
+
+    python3 tools/bench_pairs.py --pr 14 --base HEAD --pairs forecast=3 dynamics=1 \\
+        referee=1 cli-cold=1 --seconds 25 --first-seed 41
+
+Run from anywhere inside a git checkout. The base revision is checked out with
+`git worktree add --detach` into a temporary directory, removed when done. Pair
+i of a workload runs
+
+    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
+
+with S = first seed + i, once at the base and once in the working tree; the side
+that goes first alternates from pair to pair, so slow drift of the machine falls
+on both sides alike. The file at the root of the working tree holds every run's
+end-to-end metrics and failed count, per-side medians and quartiles, and the
+machine facts that move these numbers: nproc, the Python version and
+PYTHONDONTWRITEBYTECODE (when it is 1, each cold CLI process compiles the
+package source again). Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SIDES = ("base", "change")
+
+
+def git(cwd: Path, *args: str) -> str:
+    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run; its last stdout line, or the error that ended it."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
+    last = json.loads(proc.stdout.splitlines()[-1])
+    return {"attempted": last["attempted"], "failed": last["failed"],
+            "metrics": {name: entry["value"] for name, entry in last["metrics"].items()}}
+
+
+def spread(values: list[float]) -> dict:
+    """Median and quartiles; with one value, all three are that value."""
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+    """Per metric: each side's spread, the relative change of the medians, and the
+    pairs the change won (better as BENCHMARK.json says; ties count for neither)."""
+    runs = {side: [pair[side] for pair in pairs if "metrics" in pair[side]] for side in SIDES}
+    names = next((run["metrics"] for side in SIDES for run in runs[side]), {})
+    whole = [pair for pair in pairs if all("metrics" in pair[side] for side in SIDES)]
+    summary = {}
+    for name in names:
+        per_side = {side: spread([run["metrics"][name] for run in runs[side]])
+                    for side in SIDES if runs[side]}
+        if len(per_side) == 2:
+            base, change = per_side["base"]["median"], per_side["change"]["median"]
+            per_side["median_change"] = (change - base) / base if base else None
+            sign = -1 if better.get(name) == "lower" else 1
+            won = sum(sign * (pair["change"]["metrics"][name] - pair["base"]["metrics"][name]) > 0
+                      for pair in whole)
+            per_side["change_won"] = f"{won} of {len(whole)}"
+        summary[name] = per_side
+    failed = {side: sum(run["failed"] for run in runs[side]) for side in SIDES}
+    errors = {side: sum("error" in pair[side] for pair in pairs) for side in SIDES}
+    return {"metrics": summary, "failed": failed, "errored_runs": errors}
+
+
+def parse_pairs(items: list[str]) -> dict[str, int]:
+    pairs = {}
+    for item in items:
+        workload, _, count = item.partition("=")
+        pairs[workload] = int(count or 1)
+    return pairs
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--pr", type=int, required=True, help="names BENCH_<pr>.json")
+    parser.add_argument("--base", default="HEAD", help="revision to compare against")
+    parser.add_argument("--pairs", nargs="+", default=["forecast=3", "dynamics=1",
+                                                       "referee=1", "cli-cold=1"],
+                        help="WORKLOAD=PAIRS, one per workload")
+    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--first-seed", type=int, default=41)
+    args = parser.parse_args(argv)
+
+    change = Path(git(Path.cwd(), "rev-parse", "--show-toplevel"))
+    base_commit = git(change, "rev-parse", "--verify", f"{args.base}^{{commit}}")
+    catalogue = json.loads((change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {entry["name"]: entry["better"] for entry in catalogue["end_to_end"]}
+    record = {
+        "command": "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0",
+        "seconds": args.seconds,
+        "base": {"revision": args.base, "commit": base_commit},
+        "change": {"head": git(change, "rev-parse", "HEAD"),
+                   "uncommitted_changes": bool(git(change, "status", "--porcelain"))},
+        "machine": {"nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count(),
+                    "python": platform.python_version(),
+                    "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+                    "platform": platform.platform()},
+        "workloads": {},
+    }
+    scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
+    base = scratch / "base"
+    git(change, "worktree", "add", "--detach", str(base), base_commit)
+    try:
+        roots = {"base": base, "change": change}
+        for workload, count in parse_pairs(args.pairs).items():
+            pairs = []
+            for i in range(count):
+                seed = args.first_seed + i
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                pair = {"seed": seed, "first": order[0]}
+                for side in order:
+                    pair[side] = run_once(roots[side], workload, seed, args.seconds)
+                    print(json.dumps({"workload": workload, "seed": seed, "side": side,
+                                      **pair[side]}), file=sys.stderr)
+                pairs.append(pair)
+            record["workloads"][workload] = {"pairs": pairs, **summarize(pairs, better)}
+    finally:
+        git(change, "worktree", "remove", "--force", str(base))
+        scratch.rmdir()
+    out = change / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    print(out)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
