@@ -48,14 +48,8 @@ def game_worth(obj, tolerance: float | None = None) -> SymmetricWorth:
 
     tolerance None is worth.DEFAULT_SYMMETRY_TOLERANCE.
     """
-    from .worth import (
-        DEFAULT_SYMMETRY_TOLERANCE,
-        SymmetricWorth,
-        characteristic_from_coalitions,
-        check_tolerance,
-        reduce_to_symmetric,
-        worth_from_json,
-    )
+    from .worth import (DEFAULT_SYMMETRY_TOLERANCE, SymmetricWorth, characteristic_from_coalitions,
+                        check_tolerance, reduce_to_symmetric, worth_from_json)
 
     if tolerance is None:
         tolerance = DEFAULT_SYMMETRY_TOLERANCE
@@ -143,13 +137,8 @@ def _cmd_average(args: argparse.Namespace) -> tuple[int, list[dict]]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> tuple[int, Iterator[dict]]:
-    from .replicator import (
-        DynamicsConfig,
-        Mode,
-        initial_frequencies,
-        integrate,
-        uniform_frequencies,
-    )
+    from .replicator import (DynamicsConfig, Mode, initial_frequencies, integrate,
+                             uniform_frequencies)
 
     worth = _load_game(args.game, args.tolerance)
     bell = _bell_table(worth.m)

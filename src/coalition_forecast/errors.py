@@ -4,7 +4,7 @@
 they import from either place; the CLI reads them from here, so mapping an
 error to its exit code loads no module a command did not run. The bounds
 live here too: MAX_SAMPLES, behind TooManySamples, which `replicator` and
-`oracle` share, and MAX_CLOSED_FORM_M, behind ClosedFormTooLarge.
+`oracle` share, and MAX_CLOSED_FORM_M and MAX_PLANES_M, behind ClosedFormTooLarge.
 """
 
 
@@ -34,6 +34,7 @@ class IntegrationError(RuntimeError):
 
 MAX_SAMPLES = 1_000_000
 MAX_CLOSED_FORM_M = 1500  # B_1500 has 3 108 digits, below CPython's 4 300-digit str() limit
+MAX_PLANES_M = 200  # planes prints m^2 exact entries: 18.7 MB at m = 200, 166 MB at m = 400
 
 
 class TooManySamples(ValueError):
@@ -41,4 +42,4 @@ class TooManySamples(ValueError):
 
 
 class ClosedFormTooLarge(ValueError):
-    """A closed form at m beyond MAX_CLOSED_FORM_M, refused before any Bell number is built."""
+    """m beyond MAX_CLOSED_FORM_M, or beyond MAX_PLANES_M for planes, refused before the work."""

@@ -12,24 +12,12 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .combinatorics import (
-    PartitionStats,
-    SetPartition,
-    _check_cap,
-    _rgs_prefixes,
-    build_bell_table,
-    partition_stats,
-)
+from .combinatorics import (PartitionStats, SetPartition, _check_cap, _rgs_prefixes,
+                            build_bell_table, partition_stats)
 from .errors import MAX_SAMPLES, TooManySamples
 from .predictor import average_worth, predict
-from .worth import (
-    CharacteristicFunction,
-    SymmetricWorth,
-    SymmetryViolation,
-    dyadic,
-    float_or_none,
-    reduce_to_symmetric,
-)
+from .worth import (CharacteristicFunction, SymmetricWorth, SymmetryViolation, dyadic,
+                    float_or_none, reduce_to_symmetric)
 
 def _scan_stats(m: int) -> PartitionStats:
     """Block-size and fixed-agent counts, one enumerated partition at a time.

@@ -13,31 +13,54 @@ by int / int division (`worth.float_or_none`), so the residual and matrix
 paths agree bit for bit. A value beyond the float range is never inf: `predict` reports it as
 None, and the matrix-path functions raise ValueError naming its sizes.
 `predict` never builds the matrix: every row is a diagonal term plus one
-shared rank-one term, so its value at the point and its norm are O(m).
+shared rank-one term, so its value at the point and its norm are O(m). The
+parts that depend on m and the Bell table alone, the weights and the row
+norms, are kept per process (`_geometry`), so a call pays only for its worths.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .combinatorics import BellTable, block_multiplicities
+from .errors import MAX_PLANES_M, ClosedFormTooLarge
 from .worth import SymmetricWorth, dyadic, float_or_none
+
+# The forecast mix predicts at 9 distinct m, {2, 3, 6, 8, 10, 12, 24, 48, 96}; an entry
+# holds about 25 KB at m = 96 and 5.5 MB at m = 1 500, so 16 need at most about 90 MB.
+GEOMETRY_ENTRIES = 16
+
+
+@lru_cache(maxsize=GEOMETRY_ENTRIES)
+def _geometry(m: int, bell: tuple[int, ...]) -> tuple:
+    """w_j = C(m,j) B_{m-j}, D = m B_m, and `predict`'s Q_k, log2 Q_k and row norms.
+
+    All depend on m and B_0..B_m alone, the key (a tuple, whatever the table holds); a
+    short table raises, and a raise caches nothing. At m = 1, Q_1 = 0 has no log2.
+    """
+    weights = block_multiplicities(m, BellTable(len(bell) - 1, bell))
+    unit = m * bell[m]
+    w_sq = sum(w * w for w in weights)
+    norms_sq = tuple(unit * unit - 2 * k * unit * w + k * k * w_sq
+                     for k, w in enumerate(weights, start=1))
+    return (weights, unit, norms_sq, tuple(map(math.log2, norms_sq)) if m > 1 else (),
+            tuple(math.sqrt(q / (k * unit) ** 2) for k, q in enumerate(norms_sq, start=1)))
 
 
 def _exact_average(worth: SymmetricWorth, bell: BellTable) -> tuple:
-    """Weights w_j = C(m,j) B_{m-j}, D = m B_m, den, S and the residuals.
+    """The `_geometry` of worth.m, den, S and the residuals.
 
     With the worths n_j / den (`dyadic`), the average is S / (D den) for
     S = sum_j n_j w_j, and residual k is R_k / (k D den), R_k = n_k D - k S;
     the residuals come as a generator of (R_k, k D den).
     """
-    weights = block_multiplicities(worth.m, bell)
+    geometry = weights, unit, *_ = _geometry(worth.m, tuple(bell.values[:worth.m + 1]))
     numerators, den = dyadic(worth.by_size)
-    unit = worth.m * bell[worth.m]
     total = sum(n * w for n, w in zip(numerators, weights))
-    return weights, unit, den, total, ((n * unit - k * total, k * unit * den)
-                                       for k, n in enumerate(numerators, start=1))
+    return geometry, den, total, ((n * unit - k * total, k * unit * den)
+                                  for k, n in enumerate(numerators, start=1))
 
 
 def average_worth(worth: SymmetricWorth, bell: BellTable) -> float:
@@ -45,7 +68,7 @@ def average_worth(worth: SymmetricWorth, bell: BellTable) -> float:
 
     An exact weighted mean of finite worths, so it is finite: divided once.
     """
-    _, unit, den, total, _ = _exact_average(worth, bell)
+    (_, unit, *_), den, total, _ = _exact_average(worth, bell)
     return total / (unit * den)
 
 
@@ -80,8 +103,11 @@ class HyperplaneSystem:
 
 
 def hyperplane_system(m: int, bell: BellTable) -> HyperplaneSystem:
-    """Coefficient matrix of the per-size equilibrium conditions."""
+    """Coefficient matrix of the per-size equilibrium conditions, for m <= MAX_PLANES_M."""
     weights = block_multiplicities(m, bell)
+    if m > MAX_PLANES_M:
+        raise ClosedFormTooLarge(f"hyperplane system too large: m={m} exceeds the bound "
+                                 f"m={MAX_PLANES_M}")
     unit = m * bell[m]
     rows = tuple(tuple(unit * (j == k) - k * w for j, w in enumerate(weights, start=1))
                  for k in range(1, m + 1))
@@ -160,11 +186,8 @@ def predict(point: SymmetricWorth, bell: BellTable) -> PredictionReport:
     display only.
     """
     m = point.m
-    weights, unit, den, total, exact = _exact_average(point, bell)
+    (_, unit, norms_sq, lq, norms), den, total, exact = _exact_average(point, bell)
     nums, dens = zip(*exact)
-    w_sq = sum(w * w for w in weights)
-    norms_sq = [unit * unit - 2 * k * unit * w + k * k * w_sq
-                for k, w in enumerate(weights, start=1)]
     eps = tuple(map(float_or_none, nums, dens))
     degenerate = m == 1
     notes = []
@@ -174,14 +197,12 @@ def predict(point: SymmetricWorth, bell: BellTable) -> PredictionReport:
         argmin = frozenset({1})
         notes.append("degenerate: with one outsider the single equation is vacuous")
     else:
-        dists = tuple(None if r is None else float_or_none(abs(r), math.sqrt(q / (k * unit) ** 2))
-                      for k, (r, q) in enumerate(zip(eps, norms_sq), start=1))
+        dists = tuple(None if r is None else float_or_none(abs(r), n) for r, n in zip(eps, norms))
         # Filter, then decide exactly (Shewchuk, DCG 18, 1997): log2 reads an int with
         # relative error <= 2^-53, so for libm within u ulps and L >= 1 above every log2
         # each 2a - b errs by <= 2^-52 (6u + 7) L. For u <= 300 the margin 2^-40 L holds
         # every exact minimizer, the bound's rounding too; R_k = 0, the minimum, is -inf.
         lr = [math.log2(abs(r)) if r else -math.inf for r in nums]
-        lq = list(map(math.log2, norms_sq))
         logs = [2 * a - b for a, b in zip(lr, lq)]
         bound = min(logs) + max(1.0, *lr, *lq) * 2.0 ** -40
         ties = []  # each size within the margin is cross-multiplied once, with ties[0]

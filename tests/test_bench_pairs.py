@@ -28,12 +28,24 @@ def test_summary_counts_wins_in_the_better_direction():
     summary = bench_pairs.summarize(pairs, better)
     rate = summary["metrics"]["requests_per_s"]
     assert rate["change_won"] == "2 of 3"  # the errored pair is no pair
+    assert rate["won_share"] == 0.5 and not rate["meets_win_share"]  # but it was run, and not won
     assert rate["base"] == {"median": 100, "q1": 95.0, "q3": 105.0}
     assert rate["change"]["median"] == 122.5
     assert rate["median_change"] == 0.225
     assert summary["metrics"]["latency_p50_ms"]["change_won"] == "2 of 3"  # a tie wins nothing
     assert summary["failed"] == {"base": 0, "change": 1}
     assert summary["errored_runs"] == {"base": 1, "change": 0}
+
+
+def test_resolved_needs_the_medians_apart_by_more_than_the_base_quartile_distance():
+    pairs = [{"seed": i, "first": "base", "base": run(100 + i, 2.0 + i / 10),
+              "change": run(101 + i, 1.5 + i / 10)} for i in range(10)]
+    better = {"requests_per_s": "higher", "latency_p50_ms": "lower"}
+    metrics = bench_pairs.summarize(pairs, better)["metrics"]
+    p50 = metrics["latency_p50_ms"]  # base quartiles 2.225 and 2.675; medians 2.45 and 1.95
+    assert p50["resolved"] and p50["won_share"] == 1.0 and p50["meets_win_share"]
+    rate = metrics["requests_per_s"]  # base quartiles 102.25 and 106.75; medians 104.5, 105.5
+    assert not rate["resolved"] and rate["meets_win_share"]  # every pair won, still unresolved
 
 
 def test_pairs_argument_defaults_to_one_pair():

@@ -300,6 +300,13 @@ def test_closed_form_bound_exits_4_at_once(capsys, command, m):
                                                       f"exceeds the bound m=1500"}
 
 
+def test_planes_bound_exits_4_before_any_row(capsys):
+    code, out, err = run(capsys, "planes", "--m", "201")
+    assert code == 4 and out == ""
+    assert json.loads(err) == {"error": 4, "message": "hyperplane system too large: m=201 "
+                                                      "exceeds the bound m=200"}
+
+
 def test_closed_form_bound_covers_game_files(capsys, tmp_path):
     path = tmp_path / "game.json"
     path.write_text(json.dumps({"m": 1501, "by_size": [1.0] * 1501}))

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coalition_forecast.combinatorics import build_bell_table
+from coalition_forecast.combinatorics import BellTable, build_bell_table
+from coalition_forecast.errors import ClosedFormTooLarge
 from coalition_forecast.predictor import (
+    _geometry,
     average_worth,
     distances,
     evaluate_planes,
@@ -368,3 +370,56 @@ def test_filtered_argmin_decides_a_switch_point_exactly(m):
     for t in (lo, hi):
         assert predict(at(t), BELL_96).argmin_set == exact_argmin(at(t))
     assert predict(at(lo), BELL_96).argmin_set != predict(at(hi), BELL_96).argmin_set
+
+
+same_m_pairs = st.integers(1, 30).flatmap(lambda m: st.lists(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=m, max_size=m),
+    min_size=2, max_size=2))
+
+
+class TestGeometryCache:
+    """The part of predict and average_worth that depends on m and the Bell table alone
+    is kept per process; no answer may depend on what the cache holds."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(same_m_pairs)
+    def test_reports_equal_cold_and_warm(self, pair):
+        point, other = (SymmetricWorth(m=len(v), by_size=tuple(v)) for v in pair)
+        _geometry.cache_clear()
+        cold = predict(point, BELL_96)
+        _geometry.cache_clear()
+        cold_average = average_worth(point, BELL_96)
+        _geometry.cache_clear()
+        predict(other, BELL_96)  # the entry is made by other's call: it must hold no worths
+        hits = _geometry.cache_info().hits
+        assert (predict(point, BELL_96), average_worth(point, BELL_96)) == (cold, cold_average)
+        assert _geometry.cache_info().hits == hits + 2
+
+    @pytest.mark.parametrize("index", [2, 4, 5])
+    def test_a_doctored_table_gets_its_own_answer(self, index):
+        point = SymmetricWorth(m=5, by_size=(0.5, 1.0, 1.0, 2.0, 3.0))
+        bell = build_bell_table(5)
+        values = list(bell.values)
+        values[index] += 7  # B_index, which w_{5-index} or D reads
+        doctored = BellTable(max_index=5, values=tuple(values))
+        exact = sum(Fraction(v) * math.comb(5, j) * values[5 - j]
+                    for j, v in enumerate(point.by_size, start=1)) / (5 * values[5])
+        real = predict(point, bell)
+        warm = predict(point, doctored), average_worth(point, doctored)
+        _geometry.cache_clear()
+        assert (predict(point, doctored), average_worth(point, doctored)) == warm
+        assert warm[1] == float(exact) != real.average_worth
+
+    def test_a_list_valued_table_still_predicts(self):
+        bell = build_bell_table(6)
+        listed = BellTable(max_index=6, values=list(bell.values))
+        point = SymmetricWorth(m=6, by_size=(0.5, -1.0, 2.0, 0.0, 1.5, -0.25))
+        assert predict(point, listed) == predict(point, bell)
+        assert average_worth(point, listed) == average_worth(point, bell)
+
+
+def test_hyperplane_system_is_bounded_before_any_row():
+    assert hyperplane_system(200, build_bell_table(200)).m == 200
+    with pytest.raises(ClosedFormTooLarge, match=r"^hyperplane system too large: m=201 "
+                                                 r"exceeds the bound m=200$"):
+        hyperplane_system(201, build_bell_table(201))

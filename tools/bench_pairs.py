@@ -31,6 +31,7 @@ import tempfile
 from pathlib import Path
 
 SIDES = ("base", "change")
+WIN_SHARE = 0.9  # a gain needs the change to win 9 of 10 pairs run, ties counting for neither
 
 
 def git(cwd: Path, *args: str) -> str:
@@ -60,7 +61,12 @@ def spread(values: list[float]) -> dict:
 
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     """Per metric: each side's spread, the relative change of the medians, and the
-    pairs the change won (better as BENCHMARK.json says; ties count for neither)."""
+    pairs the change won (better as BENCHMARK.json says; ties count for neither).
+
+    The claim rule takes two more: `resolved`, whether the medians differ by more
+    than the base runs' quartile distance, and `won_share`, the wins over every pair
+    run (an errored pair is not won), with `meets_win_share` against WIN_SHARE.
+    """
     runs = {side: [pair[side] for pair in pairs if "metrics" in pair[side]] for side in SIDES}
     names = next((run["metrics"] for side in SIDES for run in runs[side]), {})
     whole = [pair for pair in pairs if all("metrics" in pair[side] for side in SIDES)]
@@ -75,6 +81,10 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             won = sum(sign * (pair["change"]["metrics"][name] - pair["base"]["metrics"][name]) > 0
                       for pair in whole)
             per_side["change_won"] = f"{won} of {len(whole)}"
+            per_side["won_share"] = won / len(pairs)
+            per_side["meets_win_share"] = won >= WIN_SHARE * len(pairs)
+            base_spread = per_side["base"]["q3"] - per_side["base"]["q1"]
+            per_side["resolved"] = abs(change - base) > base_spread
         summary[name] = per_side
     failed = {side: sum(run["failed"] for run in runs[side]) for side in SIDES}
     errors = {side: sum("error" in pair[side] for pair in pairs) for side in SIDES}
