@@ -13,6 +13,8 @@ import argparse
 import json
 import sys
 
+import coalition_forecast as cf  # loads no submodule; commands call cf.<module>.<name>
+
 from .errors import (ClosedFormTooLarge, EnumerationTooLarge, IntegrationError,
                      SymmetryViolation, TooManySamples)
 
@@ -43,58 +45,6 @@ def _write(records: Iterable[dict | str]) -> None:
     sys.stdout.flush()
 
 
-def game_worth(obj, tolerance: float | None = None) -> SymmetricWorth:
-    """The outsiders' per-size worths from a parsed game file; ValueError if malformed.
-
-    tolerance None is worth.DEFAULT_SYMMETRY_TOLERANCE.
-    """
-    from .worth import (DEFAULT_SYMMETRY_TOLERANCE, SymmetricWorth, characteristic_from_coalitions,
-                        check_tolerance, reduce_to_symmetric, worth_from_json)
-
-    if tolerance is None:
-        tolerance = DEFAULT_SYMMETRY_TOLERANCE
-    check_tolerance(tolerance)
-    if not isinstance(obj, dict):
-        raise ValueError("game file must contain a JSON object")
-    m = _resolve_outsider_count(obj)
-    if ("by_size" in obj) == ("coalitions" in obj):
-        raise ValueError("provide exactly one of 'by_size' or 'coalitions'")
-    if "by_size" in obj:
-        by_size = obj["by_size"]
-        if not isinstance(by_size, list) or len(by_size) != m:
-            raise ValueError(f"'by_size' must be a list of {m} worths")
-        try:
-            return SymmetricWorth(m=m, by_size=tuple(worth_from_json(v) for v in by_size))
-        except ValueError as exc:
-            raise ValueError(f"invalid 'by_size': {exc}") from exc
-    coalitions = obj["coalitions"]
-    if not isinstance(coalitions, list):
-        raise ValueError("'coalitions' must be a list of records")
-    return reduce_to_symmetric(characteristic_from_coalitions(m, coalitions), tolerance)
-
-
-def _resolve_outsider_count(obj: dict) -> int:
-    m = obj.get("m")
-    n = obj.get("n")
-    s = obj.get("s")
-    for name, value in (("m", m), ("n", n), ("s", s)):
-        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-            raise ValueError(f"'{name}' must be an integer")
-    if (n is None) != (s is None):
-        raise ValueError("'n' and 's' must be given together")
-    if n is not None:
-        if not n > s >= 1:
-            raise ValueError(f"need n > s >= 1, got n={n}, s={s}")
-        if m is not None and m != n - s:
-            raise ValueError(f"inconsistent counts: m={m} but n-s={n - s}")
-        m = n - s
-    if m is None:
-        raise ValueError("provide 'm', or 'n' together with 's'")
-    if m < 1:
-        raise ValueError(f"'m' must be positive, got {m}")
-    return m
-
-
 def _load_game(path: str, tolerance: float | None) -> SymmetricWorth:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -103,64 +53,53 @@ def _load_game(path: str, tolerance: float | None) -> SymmetricWorth:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ValueError(f"invalid JSON in {path}: {exc}") from exc
-    return game_worth(obj, tolerance)
+    return cf.worth.game_worth(obj, tolerance)
 
 
 def _bell_table(m: int) -> BellTable:
     """B_0..B_m for a closed form at m; at m < 1, B_0 alone, and the closed form refuses m."""
-    from .combinatorics import build_bell_table
-
-    return build_bell_table(max(m, 0))
+    return cf.combinatorics.build_bell_table(max(m, 0))
 
 
 def _cmd_predict(args: argparse.Namespace) -> tuple[int, list[dict]]:
-    from .predictor import predict
-
     worth = _load_game(args.game, args.tolerance)
-    return EXIT_OK, [vars(predict(worth, _bell_table(worth.m)))]
+    return EXIT_OK, [vars(cf.predictor.predict(worth, _bell_table(worth.m)))]
 
 
 def _cmd_planes(args: argparse.Namespace) -> tuple[int, list[dict]]:
-    from .predictor import hyperplane_system
-
-    system = hyperplane_system(args.m, _bell_table(args.m))
+    system = cf.predictor.hyperplane_system(args.m, _bell_table(args.m))
     return EXIT_OK, [{"m": system.m, "degenerate": system.degenerate,
                       "exact_rows": [[str(a) for a in row] for row in system.exact_rows],
                       "rows": system.coefficients, "row_norms": system.row_norms}]
 
 
 def _cmd_average(args: argparse.Namespace) -> tuple[int, list[dict]]:
-    from .predictor import average_worth
-
     worth = _load_game(args.game, args.tolerance)
-    return EXIT_OK, [{"v_tilde": average_worth(worth, _bell_table(worth.m))}]
+    return EXIT_OK, [{"v_tilde": cf.predictor.average_worth(worth, _bell_table(worth.m))}]
 
 
 def _cmd_simulate(args: argparse.Namespace) -> tuple[int, Iterator[dict]]:
-    from .replicator import (DynamicsConfig, Mode, initial_frequencies, integrate,
-                             uniform_frequencies)
-
+    replicator = cf.replicator
     worth = _load_game(args.game, args.tolerance)
     bell = _bell_table(worth.m)
-    mode = Mode.PAPER_CONSTANT_AVERAGE if args.mode == "paper" else Mode.FREQUENCY_WEIGHTED
-    config = DynamicsConfig(mode=mode, step_size=args.step, horizon=args.horizon,
-                            record_every=args.record_every)
-    start = (uniform_frequencies(worth.m) if args.init == "uniform"
-             else initial_frequencies(worth.m, bell))
-    trajectory = integrate(start, worth, config, bell)
+    mode = (replicator.Mode.PAPER_CONSTANT_AVERAGE if args.mode == "paper"
+            else replicator.Mode.FREQUENCY_WEIGHTED)
+    config = replicator.DynamicsConfig(mode=mode, step_size=args.step, horizon=args.horizon,
+                                       record_every=args.record_every)
+    start = (replicator.uniform_frequencies(worth.m) if args.init == "uniform"
+             else replicator.initial_frequencies(worth.m, bell))
+    trajectory = replicator.integrate(start, worth, config, bell)
     return EXIT_OK, ({"t": state.time, "x": state.frequencies} for state in trajectory.states)
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> tuple[int, Iterator[str]]:
     """One record per restricted-growth prefix: its nb + 1 completions, one per line."""
-    from .combinatorics import _check_cap, _rgs_prefixes
-
-    _check_cap(args.m, args.cap)
+    cf.combinatorics._check_cap(args.m, args.cap)
     heads = [f"{label} " for label in range(args.m)]
     lasts = [str(label) for label in range(args.m)]
 
     def lines() -> Iterator[str]:
-        for labels, _, nb in _rgs_prefixes(args.m):
+        for labels, _, nb in cf.combinatorics._rgs_prefixes(args.m):
             head = "".join([heads[label] for label in labels])  # empty at m = 1
             yield head + ("\n" + head).join(lasts[:nb + 1])
 
@@ -168,15 +107,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[int, Iterator[str]]:
 
 
 def _cmd_stats(args: argparse.Namespace) -> tuple[int, list[dict]]:
-    from .combinatorics import partition_stats
-
-    return EXIT_OK, [vars(partition_stats(args.m, _bell_table(args.m)))]
+    return EXIT_OK, [vars(cf.combinatorics.partition_stats(args.m, _bell_table(args.m)))]
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, list[dict]]:
-    from .oracle import oracle_suite
-
-    report = oracle_suite(args.m, trials=args.trials, seed=args.seed, cap=args.cap)
+    report = cf.oracle.oracle_suite(args.m, trials=args.trials, seed=args.seed, cap=args.cap)
     return (EXIT_OK if report.passed else EXIT_ORACLE), [{**vars(report), "passed": report.passed}]
 
 

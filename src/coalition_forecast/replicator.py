@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 
 from .combinatorics import BellTable, partition_stats
-from .errors import MAX_SAMPLES, IntegrationError, TooManySamples
+from .errors import MAX_SAMPLES, MAX_STATE_VALUES, IntegrationError, TooManySamples
 from .predictor import average_worth
 from .worth import SymmetricWorth, dyadic, float_or_none, per_capita_vector
 
@@ -105,17 +105,6 @@ def uniform_frequencies(m: int) -> ReplicatorState:
     return ReplicatorState(time=0.0, frequencies=(1.0 / m,) * m)
 
 
-def _payoff_deviation(x, payoffs, mode: Mode, worth: SymmetricWorth,
-                      bell: BellTable) -> list[float | None]:
-    """p_k minus the mode's average, None where that lies beyond the float range."""
-    if mode is Mode.PAPER_CONSTANT_AVERAGE:
-        average = average_worth(worth, bell)
-    else:  # the exact mean, rounded once; off the simplex it may lie beyond the range
-        (xs, x_den), (ps, p_den) = dyadic(x), dyadic(payoffs)
-        average = float_or_none(sum(a * p for a, p in zip(xs, ps)), x_den * p_den)
-    return [None if average is None else float_or_none(p - average) for p in payoffs]
-
-
 def _unchecked_state(time: float, frequencies: tuple[float, ...]) -> ReplicatorState:
     """A ReplicatorState built without __post_init__, for values already checked."""
     state = object.__new__(ReplicatorState)
@@ -157,6 +146,10 @@ def integrate(start: ReplicatorState, worth: SymmetricWorth,
     n_steps = round(config.horizon / h)
     if n_steps * h > _FLOAT_MAX:  # the last sample time
         raise ValueError(f"horizon {config.horizon:g} at step {h:g} ends beyond the float range")
+    recorded = 1 + -(-n_steps // every)  # t = 0, then the loop's ceil(n_steps / every)
+    if worth.m * recorded > MAX_STATE_VALUES:
+        raise TooManySamples(f"m={worth.m} times {recorded} recorded states exceeds the bound "
+                             f"of {MAX_STATE_VALUES} values")
     payoffs = per_capita_vector(worth)
     x0 = start.frequencies
     weighted = config.mode is Mode.FREQUENCY_WEIGHTED
@@ -215,8 +208,13 @@ def rest_point_check(state: ReplicatorState, worth: SymmetricWorth, mode: Mode,
         raise ValueError("tolerance must be positive")
     if state.m != worth.m:
         raise ValueError(f"state has m={state.m} but worth has m={worth.m}")
-    x = state.frequencies
-    deviation = _payoff_deviation(x, per_capita_vector(worth), mode, worth, bell)
+    x, payoffs = state.frequencies, per_capita_vector(worth)
+    if mode is Mode.PAPER_CONSTANT_AVERAGE:
+        average = average_worth(worth, bell)
+    else:  # the exact mean, rounded once; off the simplex it may lie beyond the range
+        (xs, x_den), (ps, p_den) = dyadic(x), dyadic(payoffs)
+        average = float_or_none(sum(a * p for a, p in zip(xs, ps)), x_den * p_den)
+    deviation = [None if average is None else float_or_none(p - average) for p in payoffs]
     growth = [0.0 if xk == 0.0 else None if dev is None else float_or_none(xk * dev)
               for xk, dev in zip(x, deviation)]
 

@@ -3,7 +3,7 @@
 A general characteristic function assigns a worth to every non-empty
 subset of the m outsiders. Under the interchangeable-agents assumption
 it collapses to a per-size vector; `reduce_to_symmetric` performs (and
-polices) that collapse.
+polices) that collapse. `game_worth` reads the whole game-file schema.
 """
 
 from __future__ import annotations
@@ -157,6 +157,55 @@ def characteristic_from_coalitions(m: int,
             raise ValueError(f"coalition {tuple(sorted(members))} listed twice")
         entries[mask] = value
     return CharacteristicFunction(m=m, entries=entries)
+
+
+def game_worth(obj, tolerance: float | None = None) -> SymmetricWorth:
+    """The outsiders' per-size worths from a parsed game file; ValueError if malformed.
+
+    tolerance None is DEFAULT_SYMMETRY_TOLERANCE.
+    """
+    if tolerance is None:
+        tolerance = DEFAULT_SYMMETRY_TOLERANCE
+    check_tolerance(tolerance)
+    if not isinstance(obj, dict):
+        raise ValueError("game file must contain a JSON object")
+    m = _resolve_outsider_count(obj)
+    if ("by_size" in obj) == ("coalitions" in obj):
+        raise ValueError("provide exactly one of 'by_size' or 'coalitions'")
+    if "by_size" in obj:
+        by_size = obj["by_size"]
+        if not isinstance(by_size, list) or len(by_size) != m:
+            raise ValueError(f"'by_size' must be a list of {m} worths")
+        try:
+            return SymmetricWorth(m=m, by_size=tuple(worth_from_json(v) for v in by_size))
+        except ValueError as exc:
+            raise ValueError(f"invalid 'by_size': {exc}") from exc
+    coalitions = obj["coalitions"]
+    if not isinstance(coalitions, list):
+        raise ValueError("'coalitions' must be a list of records")
+    return reduce_to_symmetric(characteristic_from_coalitions(m, coalitions), tolerance)
+
+
+def _resolve_outsider_count(obj: dict) -> int:
+    m = obj.get("m")
+    n = obj.get("n")
+    s = obj.get("s")
+    for name, value in (("m", m), ("n", n), ("s", s)):
+        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ValueError(f"'{name}' must be an integer")
+    if (n is None) != (s is None):
+        raise ValueError("'n' and 's' must be given together")
+    if n is not None:
+        if not n > s >= 1:
+            raise ValueError(f"need n > s >= 1, got n={n}, s={s}")
+        if m is not None and m != n - s:
+            raise ValueError(f"inconsistent counts: m={m} but n-s={n - s}")
+        m = n - s
+    if m is None:
+        raise ValueError("provide 'm', or 'n' together with 's'")
+    if m < 1:
+        raise ValueError(f"'m' must be positive, got {m}")
+    return m
 
 
 def dyadic(values: Iterable[float]) -> tuple[list[int], int]:

@@ -48,5 +48,51 @@ def test_resolved_needs_the_medians_apart_by_more_than_the_base_quartile_distanc
     assert not rate["resolved"] and rate["meets_win_share"]  # every pair won, still unresolved
 
 
+def tail_run(tail_ms, percentile):
+    return {"attempted": 1000, "failed": 0, "requests": 1000,
+            "latency_tail_percentile": percentile, "metrics": {"latency_tail_ms": tail_ms}}
+
+
+def test_parse_run_keeps_the_requests_and_the_tail_percentile():
+    stdout = ("workload=referee seed=41 trace=0 attempted=1610 failed=0 error_rate=0.0 "
+              "requests=805 nproc=2 python=3.11.7 numpy=2.4.6 load_before=(0.5, 0.4, 0.3) "
+              "load_after=(0.6, 0.5, 0.4) latency_tail_percentile=90.0\n"
+              "  latency_tail_ms = 81.6 ms\n"
+              '{"correct": true, "attempted": 1610, "failed": 0, '
+              '"metrics": {"latency_tail_ms": {"value": 81.6, "unit": "ms"}}}\n')
+    assert bench_pairs.parse_run(stdout) == {
+        "attempted": 1610, "failed": 0, "requests": 805, "latency_tail_percentile": 90.0,
+        "metrics": {"latency_tail_ms": 81.6}}
+
+
+def test_parse_run_without_the_facts_gives_none():
+    stdout = ("workload=referee seed=41 trace=0 attempted=8 failed=0\n"
+              '{"attempted": 8, "failed": 0, "metrics": {}}\n')
+    parsed = bench_pairs.parse_run(stdout)
+    assert parsed["requests"] is None and parsed["latency_tail_percentile"] is None
+
+
+def test_tail_at_different_percentiles_is_not_comparable():
+    pairs = [{"seed": 41, "first": "base", "base": tail_run(157.7, 99.0),
+              "change": tail_run(81.6, 90.0)},
+             {"seed": 42, "first": "change", "base": tail_run(80.0, 90.0),
+              "change": tail_run(79.0, 90.0)}]
+    tail = bench_pairs.summarize(pairs, {"latency_tail_ms": "lower"})["metrics"]["latency_tail_ms"]
+    assert tail["percentiles"] == {"base": [99.0, 90.0], "change": [90.0, 90.0]}
+    assert tail["pairs_at_different_percentiles"] == [41]
+    assert tail["comparable"] is False
+
+
+def test_tail_at_one_percentile_is_comparable():
+    pairs = [{"seed": 41 + i, "first": "base", "base": tail_run(80.0 + i, 90.0),
+              "change": tail_run(79.0 + i, 90.0)} for i in range(3)]
+    tail = bench_pairs.summarize(pairs, {"latency_tail_ms": "lower"})["metrics"]["latency_tail_ms"]
+    assert tail["pairs_at_different_percentiles"] == [] and tail["comparable"] is True
+    # an unknown percentile is not a shared one
+    pairs[0]["base"]["latency_tail_percentile"] = None
+    tail = bench_pairs.summarize(pairs, {"latency_tail_ms": "lower"})["metrics"]["latency_tail_ms"]
+    assert tail["pairs_at_different_percentiles"] == [41] and tail["comparable"] is False
+
+
 def test_pairs_argument_defaults_to_one_pair():
     assert bench_pairs.parse_pairs(["forecast=3", "referee"]) == {"forecast": 3, "referee": 1}

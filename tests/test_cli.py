@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coalition_forecast
-from coalition_forecast import cli
+from coalition_forecast import cli, worth
 from coalition_forecast.oracle import VerificationReport
 from partition_reference import rgs
 
@@ -138,6 +138,14 @@ class TestPredict:
         assert code == 2 and out == ""
         assert "beyond the float range" in json.loads(err)["message"]
 
+    def test_empty_coalition_exits_2(self, capsys, tmp_path):
+        # one record for m = 1 passes the count check; its empty members are what fail
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"m": 1, "coalitions": [{"members": [], "worth": 0}]}))
+        code, out, err = run(capsys, "predict", str(path))
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": 2, "message": "coalition must be non-empty"}
+
     def test_deeply_nested_json_exits_2(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100000)
@@ -212,27 +220,27 @@ class TestPredict:
 
 class TestGameInput:
     def test_m_and_ns_consistent(self):
-        assert cli.game_worth({"n": 5, "s": 2, "m": 3, "by_size": [1, 2, 3]}).m == 3
+        assert worth.game_worth({"n": 5, "s": 2, "m": 3, "by_size": [1, 2, 3]}).m == 3
 
     def test_m_inconsistent_with_ns(self):
         with pytest.raises(ValueError, match="inconsistent"):
-            cli.game_worth({"n": 5, "s": 1, "m": 3, "by_size": [1, 2, 3]})
+            worth.game_worth({"n": 5, "s": 1, "m": 3, "by_size": [1, 2, 3]})
 
     def test_n_without_s(self):
         with pytest.raises(ValueError, match="together"):
-            cli.game_worth({"n": 5, "by_size": [1]})
+            worth.game_worth({"n": 5, "by_size": [1]})
 
     def test_n_not_greater_than_s(self):
         with pytest.raises(ValueError, match="n > s"):
-            cli.game_worth({"n": 2, "s": 2, "by_size": []})
+            worth.game_worth({"n": 2, "s": 2, "by_size": []})
 
     def test_neither_m_nor_ns(self):
         with pytest.raises(ValueError, match="provide"):
-            cli.game_worth({"by_size": [1]})
+            worth.game_worth({"by_size": [1]})
 
     def test_both_worth_schemas_rejected(self):
         with pytest.raises(ValueError, match="exactly one"):
-            cli.game_worth({"m": 1, "by_size": [1], "coalitions": []})
+            worth.game_worth({"m": 1, "by_size": [1], "coalitions": []})
 
     @pytest.mark.parametrize("game, message", [
         ({"m": 0, "by_size": []}, "'m' must be positive, got 0"),
@@ -243,11 +251,11 @@ class TestGameInput:
     ])
     def test_malformed_game_rejected(self, game, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            cli.game_worth(game)
+            worth.game_worth(game)
 
     def test_wrong_by_size_length(self):
         with pytest.raises(ValueError, match="list of 2"):
-            cli.game_worth({"m": 2, "by_size": [1.0]})
+            worth.game_worth({"m": 2, "by_size": [1.0]})
 
 
 class TestAverage:
@@ -344,6 +352,15 @@ class TestSimulate:
         payload = json.loads(err)
         assert payload["error"] == 4
         assert "1000000 samples" in payload["message"]
+
+    def test_values_limit_exits_4(self, capsys, tmp_path):
+        path = tmp_path / "m20.json"
+        path.write_text(json.dumps({"m": 20, "by_size": [0] * 20}))
+        code, out, err = run(capsys, "simulate", str(path), "--step", "1",
+                             "--horizon", "500000")
+        assert code == 4 and out == ""
+        assert json.loads(err) == {"error": 4, "message": "m=20 times 500001 recorded states "
+                                                          "exceeds the bound of 10000010 values"}
 
     def test_weighted_output_is_the_same_on_every_python(self, capsys, tmp_path):
         path = tmp_path / "game.json"

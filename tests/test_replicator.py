@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+from coalition_forecast import replicator
 from coalition_forecast.combinatorics import build_bell_table
+from coalition_forecast.errors import MAX_STATE_VALUES
 from coalition_forecast.predictor import average_worth
 from coalition_forecast.replicator import (
     DynamicsConfig,
@@ -269,6 +271,36 @@ class TestIntegrate:
         config = DynamicsConfig(step_size=step, horizon=horizon, record_every=every)
         with pytest.raises(TooManySamples, match="1000000 samples"):
             integrate(start, SYNERGY, config, BELL)
+
+    @pytest.mark.parametrize("m, horizon", [
+        (20, 500_000.0),  # 500 001 states: 10 000 020 values, 10 over the bound
+        (1500, 6666.0),   # 6 667 states, one over the 6 666 the bound allows
+    ])
+    def test_values_are_bounded_before_any_sample(self, m, horizon):
+        worth = SymmetricWorth(m=m, by_size=(0.0,) * m)
+        config = DynamicsConfig(mode=Mode.FREQUENCY_WEIGHTED, step_size=1.0, horizon=horizon)
+        states = int(horizon) + 1
+        message = (f"^m={m} times {states} recorded states exceeds the bound "
+                   f"of {MAX_STATE_VALUES} values$")
+        with pytest.raises(TooManySamples, match=message):
+            integrate(uniform_frequencies(m), worth, config, BELL)
+
+    @pytest.mark.parametrize("every, states", [(1, 11), (3, 5), (20, 2)])
+    def test_values_bound_counts_t0_and_the_last_sample(self, monkeypatch, every, states):
+        # 10 steps: t = 0, then ceil(10 / every) samples, the last at step 10
+        config = DynamicsConfig(step_size=0.1, horizon=1.0, record_every=every)
+        start = initial_frequencies(3, BELL)
+        monkeypatch.setattr(replicator, "MAX_STATE_VALUES", 3 * states)
+        assert len(integrate(start, SYNERGY, config, BELL).states) == states
+        monkeypatch.setattr(replicator, "MAX_STATE_VALUES", 3 * states - 1)
+        with pytest.raises(TooManySamples, match=f"m=3 times {states} recorded states"):
+            integrate(start, SYNERGY, config, BELL)
+
+    def test_sample_count_message_comes_before_the_values_bound(self):
+        worth = SymmetricWorth(m=1500, by_size=(0.0,) * 1500)
+        config = DynamicsConfig(step_size=1e-9, horizon=1.0)
+        with pytest.raises(TooManySamples, match="1000000 samples"):
+            integrate(uniform_frequencies(1500), worth, config, BELL)
 
     def test_start_and_worth_must_agree_on_m(self):
         config = DynamicsConfig(step_size=0.01, horizon=1.0)

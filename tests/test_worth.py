@@ -14,6 +14,7 @@ from coalition_forecast.worth import (
     SymmetryViolation,
     characteristic_from_coalitions,
     float_or_none,
+    game_worth,
     per_capita_vector,
     reduce_to_symmetric,
 )
@@ -79,6 +80,13 @@ class TestCharacteristicFunction:
                    {"members": [0, 1], "worth": 1.0}]
         with pytest.raises(ValueError, match="outside"):
             characteristic_from_coalitions(2, records)
+
+    def test_empty_coalition_rejected(self):
+        game = {"m": 1, "coalitions": [{"members": [], "worth": 0}]}
+        with pytest.raises(ValueError, match=r"^coalition must be non-empty$"):
+            game_worth(game)
+        with pytest.raises(ValueError, match=r"^coalition must be non-empty$"):
+            characteristic_from_coalitions(1, game["coalitions"])
 
     def test_record_count_checked_before_the_records(self):
         # both the count and a member are wrong: the count is reported

@@ -3,9 +3,9 @@
     python3 tools/bench_pairs.py --pr 14 --base HEAD --pairs forecast=3 dynamics=1 \\
         referee=1 cli-cold=1 --seconds 25 --first-seed 41
 
-Run from anywhere inside a git checkout. The base revision is checked out with
-`git worktree add --detach` into a temporary directory, removed when done. Pair
-i of a workload runs
+Run from anywhere inside a git checkout. The base revision's tree is unpacked
+with `git archive` into a temporary directory, removed when done. Pair i of a
+workload runs
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
@@ -15,7 +15,10 @@ on both sides alike. The file at the root of the working tree holds every run's
 end-to-end metrics and failed count, per-side medians and quartiles, and the
 machine facts that move these numbers: nproc, the Python version and
 PYTHONDONTWRITEBYTECODE (when it is 1, each cold CLI process compiles the
-package source again). Standard library only.
+package source again). Each run also keeps its request count and the percentile
+that its latency_tail_ms reports, as run.py's summary line states them: the
+benchmark takes a lower percentile from fewer requests, so two runs' tails are
+comparable only at the same percentile. Standard library only.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ import argparse
 import json
 import os
 import platform
+import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -40,14 +45,25 @@ def git(cwd: Path, *args: str) -> str:
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run; its last stdout line, or the error that ended it."""
+    """One benchmark run: parse_run of its stdout, or the error that ended it."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
-    last = json.loads(proc.stdout.splitlines()[-1])
+    return parse_run(proc.stdout)
+
+
+def parse_run(stdout: str) -> dict:
+    """The last line of run.py's stdout, and two facts of its first, the summary line."""
+    lines = stdout.splitlines()
+    last = json.loads(lines[-1])
+    summary = next((line for line in lines if line.startswith("workload=")), "")
+    facts = {key: json.loads(value) for key, value  # None where run.py does not print it
+             in re.findall(r"\b(requests|latency_tail_percentile)=(\S+)", summary)}
     return {"attempted": last["attempted"], "failed": last["failed"],
+            "requests": facts.get("requests"),
+            "latency_tail_percentile": facts.get("latency_tail_percentile"),
             "metrics": {name: entry["value"] for name, entry in last["metrics"].items()}}
 
 
@@ -66,6 +82,8 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     The claim rule takes two more: `resolved`, whether the medians differ by more
     than the base runs' quartile distance, and `won_share`, the wins over every pair
     run (an errored pair is not won), with `meets_win_share` against WIN_SHARE.
+    latency_tail_ms also lists each side's tail percentiles and the seeds of the
+    pairs whose sides differ in it; `comparable` holds when every run shares one.
     """
     runs = {side: [pair[side] for pair in pairs if "metrics" in pair[side]] for side in SIDES}
     names = next((run["metrics"] for side in SIDES for run in runs[side]), {})
@@ -86,6 +104,15 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             base_spread = per_side["base"]["q3"] - per_side["base"]["q1"]
             per_side["resolved"] = abs(change - base) > base_spread
         summary[name] = per_side
+    if "latency_tail_ms" in summary:
+        tail = summary["latency_tail_ms"]
+        tail["percentiles"] = {side: [run.get("latency_tail_percentile") for run in runs[side]]
+                               for side in SIDES}
+        tail["pairs_at_different_percentiles"] = [pair["seed"] for pair in whole
+                               if pair["base"].get("latency_tail_percentile")
+                               != pair["change"].get("latency_tail_percentile")]
+        seen = {p for side in SIDES for p in tail["percentiles"][side]}
+        tail["comparable"] = len(seen) == 1 and None not in seen
     failed = {side: sum(run["failed"] for run in runs[side]) for side in SIDES}
     errors = {side: sum("error" in pair[side] for pair in pairs) for side in SIDES}
     return {"metrics": summary, "failed": failed, "errored_runs": errors}
@@ -129,8 +156,11 @@ def main(argv: list[str] | None = None) -> int:
     }
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     base = scratch / "base"
-    git(change, "worktree", "add", "--detach", str(base), base_commit)
+    base.mkdir()
     try:
+        archive = subprocess.run(["git", "archive", base_commit], cwd=change, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
         roots = {"base": base, "change": change}
         for workload, count in parse_pairs(args.pairs).items():
             pairs = []
@@ -145,8 +175,7 @@ def main(argv: list[str] | None = None) -> int:
                 pairs.append(pair)
             record["workloads"][workload] = {"pairs": pairs, **summarize(pairs, better)}
     finally:
-        git(change, "worktree", "remove", "--force", str(base))
-        scratch.rmdir()
+        shutil.rmtree(scratch)
     out = change / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(out)
