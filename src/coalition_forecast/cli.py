@@ -94,12 +94,12 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[int, Iterator[dict]]:
 
 def _cmd_enumerate(args: argparse.Namespace) -> tuple[int, Iterator[str]]:
     """One record per restricted-growth prefix: its nb + 1 completions, one per line."""
-    cf.combinatorics._check_cap(args.m, args.cap)
+    prefixes = cf.combinatorics._rgs_prefixes(args.m)  # checks m before heads grow with it
     heads = [f"{label} " for label in range(args.m)]
     lasts = [str(label) for label in range(args.m)]
 
     def lines() -> Iterator[str]:
-        for labels, _, nb in cf.combinatorics._rgs_prefixes(args.m):
+        for labels, _, nb in prefixes:
             head = "".join([heads[label] for label in labels])  # empty at m = 1
             yield head + ("\n" + head).join(lasts[:nb + 1])
 
@@ -111,7 +111,7 @@ def _cmd_stats(args: argparse.Namespace) -> tuple[int, list[dict]]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, list[dict]]:
-    report = cf.oracle.oracle_suite(args.m, trials=args.trials, seed=args.seed, cap=args.cap)
+    report = cf.oracle.oracle_suite(args.m, trials=args.trials, seed=args.seed)
     return (EXIT_OK if report.passed else EXIT_ORACLE), [{**vars(report), "passed": report.passed}]
 
 
@@ -156,8 +156,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_enumerate = command("enumerate", _cmd_enumerate, "all coalition structures, one per line")
     p_enumerate.add_argument("--m", type=int, required=True, help="number of outsiders")
-    p_enumerate.add_argument("--cap", type=int, default=None,
-                             help="override the enumeration cap")
 
     p_stats = command("stats", _cmd_stats, "closed-form block-occurrence counts")
     p_stats.add_argument("--m", type=int, required=True, help="number of outsiders")
@@ -167,8 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--trials", type=int, default=1000,
                           help="random worth vectors to test")
     p_verify.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p_verify.add_argument("--cap", type=int, default=None,
-                          help="override the enumeration cap")
 
     return parser
 

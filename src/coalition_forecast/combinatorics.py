@@ -12,9 +12,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .errors import MAX_CLOSED_FORM_M, ClosedFormTooLarge, EnumerationTooLarge
-
-DEFAULT_ENUMERATION_CAP = 12
+from .errors import MAX_CLOSED_FORM_M, MAX_ENUMERATION_M, ClosedFormTooLarge, EnumerationTooLarge
 
 
 @dataclass(frozen=True)
@@ -77,6 +75,19 @@ class SetPartition:
 
 
 def _rgs_prefixes(m: int) -> Iterator[tuple[list[int], list[int], int]]:
+    """_walk(m), once m is checked: the one owner of the enumeration bound.
+
+    It raises before any work that grows with m, so callers obtain the walker first.
+    """
+    if m < 1:
+        raise ValueError("m must be positive")
+    if m > MAX_ENUMERATION_M:
+        raise EnumerationTooLarge(f"enumeration too large: m={m} exceeds "
+                                  f"the cap m={MAX_ENUMERATION_M}")
+    return _walk(m)
+
+
+def _walk(m: int) -> Iterator[tuple[list[int], list[int], int]]:
     """Every partition of {0,..,m-1}, one prefix at a time (Knuth's Algorithm H).
 
     Visits the B_{m-1} restricted-growth prefixes of elements 0..m-2 in
@@ -116,32 +127,17 @@ def _rgs_prefixes(m: int) -> Iterator[tuple[list[int], list[int], int]]:
         nb = top + 1
 
 
-def _check_cap(m: int, cap: int | None) -> None:
-    """m against the cap: the argument, else 12.
-
-    Callers check it before any work, so it computes nothing that grows with m.
-    """
-    if m < 1:
-        raise ValueError("m must be positive")
-    if cap is None:
-        cap = DEFAULT_ENUMERATION_CAP
-    elif cap < 1:
-        raise ValueError(f"the enumeration cap must be a positive integer, got {cap!r}")
-    if m > cap:
-        raise EnumerationTooLarge(f"enumeration too large: m={m} exceeds the cap m={cap}")
-
-
-def enumerate_partitions(m: int, cap: int | None = None) -> Iterator[SetPartition]:
+def enumerate_partitions(m: int) -> Iterator[SetPartition]:
     """All partitions of {0,..,m-1}, lexicographic in restricted-growth form.
 
     Yields exactly B_m canonical partitions, deterministically. Raises
-    EnumerationTooLarge up front when m exceeds the cap (default 12,
-    overridable via the cap argument).
+    EnumerationTooLarge up front when m exceeds errors.MAX_ENUMERATION_M
+    (12), a fixed bound that no argument moves.
     """
-    _check_cap(m, cap)
+    prefixes = _rgs_prefixes(m)
 
     def generate() -> Iterator[SetPartition]:
-        for labels, _, nb in _rgs_prefixes(m):
+        for labels, _, nb in prefixes:
             prefix = tuple(labels)
             for last in range(nb + 1):
                 yield SetPartition(labels=prefix + (last,))

@@ -2,9 +2,9 @@
 
 `worth`, `combinatorics` and `replicator` raise them and re-export them, so
 they import from either place; the CLI reads them from here, so mapping an
-error to its exit code loads no module a command did not run. The bounds
-live here too: MAX_SAMPLES and MAX_STATE_VALUES behind TooManySamples, and
-MAX_CLOSED_FORM_M and MAX_PLANES_M behind ClosedFormTooLarge.
+error to its exit code loads no module a command did not run. The fixed bounds live here
+too: MAX_ENUMERATION_M behind EnumerationTooLarge, MAX_SAMPLES and MAX_STATE_VALUES behind
+TooManySamples, and MAX_CLOSED_FORM_M and MAX_PLANES_M behind ClosedFormTooLarge.
 """
 
 
@@ -25,13 +25,14 @@ class SymmetryViolation(ValueError):
 
 
 class EnumerationTooLarge(ValueError):
-    """Raised when a full set-partition enumeration would exceed the cap."""
+    """m beyond MAX_ENUMERATION_M, refused by the walker before it visits any partition."""
 
 
 class IntegrationError(RuntimeError):
     """Integration aborted: non-finite state or a vanished population."""
 
 
+MAX_ENUMERATION_M = 12  # B_12 = 4 213 597 structures, and B_13 is 6.6 times as many
 MAX_SAMPLES = 1_000_000
 # m x recorded states, t = 0 included; m <= 10 keeps every sample count. Peak (tracemalloc)
 # and time at it, x86-64: 322 MB, 2.7 s at m = 1 500; ~550 MB, 4.2 s at m = 10 (10x 10^5 run).

@@ -12,24 +12,25 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .combinatorics import (PartitionStats, SetPartition, _check_cap, _rgs_prefixes,
-                            build_bell_table, partition_stats)
+from .combinatorics import (PartitionStats, SetPartition, _rgs_prefixes, build_bell_table,
+                            partition_stats)
 from .errors import MAX_SAMPLES, TooManySamples
 from .predictor import average_worth, predict
 from .worth import (CharacteristicFunction, SymmetricWorth, SymmetryViolation, dyadic,
                     float_or_none, reduce_to_symmetric)
 
-def _scan_stats(m: int) -> PartitionStats:
-    """Block-size and fixed-agent counts, one enumerated partition at a time.
+def brute_force_multiplicities(m: int) -> PartitionStats:
+    """Block-size and fixed-agent counts recomputed by raw enumeration, one prefix at a time.
 
     A prefix with block sizes s_j = masks[j].bit_count() has nb + 1
     completions: the one where the last element joins block j has s_j + 1
     in place of s_j, and the last one adds a singleton. So every s_j
     appears in nb of them and s_j + 1 in one. Element 0 sits in block 0.
     """
+    prefixes = _rgs_prefixes(m)  # checks m before the count lists grow with it
     multiplicity = [0] * (m + 1)
     choice_counts = [0] * (m + 1)
-    for _, masks, nb in _rgs_prefixes(m):
+    for _, masks, nb in prefixes:
         for mask in masks[:nb]:
             size = mask.bit_count()
             multiplicity[size] += nb
@@ -45,10 +46,10 @@ def _scan_stats(m: int) -> PartitionStats:
     )
 
 
-_cached_stats = lru_cache(maxsize=None)(_scan_stats)
+_cached_stats = lru_cache(maxsize=None)(brute_force_multiplicities)
 
 
-def brute_force_average(worth: SymmetricWorth, cap: int | None = None) -> float:
+def brute_force_average(worth: SymmetricWorth) -> float:
     """Mean per-agent worth over every enumerated coalition structure.
 
     Each structure contributes the sum of its block worths divided by m.
@@ -57,7 +58,6 @@ def brute_force_average(worth: SymmetricWorth, cap: int | None = None) -> float:
     per-m cached scan. The sum is exact, so the result is the correctly
     rounded float of the true mean.
     """
-    _check_cap(worth.m, cap)
     return _mean_worth(worth, _cached_stats(worth.m))
 
 
@@ -65,12 +65,6 @@ def _mean_worth(worth: SymmetricWorth, stats: PartitionStats) -> float:
     numerators, den = dyadic(worth.by_size)
     total = sum(n * mult for n, mult in zip(numerators, stats.multiplicity))
     return total / (den * worth.m * sum(stats.choice_counts))  # int / int rounds correctly
-
-
-def brute_force_multiplicities(m: int, cap: int | None = None) -> PartitionStats:
-    """Block-size and fixed-agent counts recomputed by raw enumeration."""
-    _check_cap(m, cap)
-    return _scan_stats(m)
 
 
 @dataclass(frozen=True)
@@ -82,7 +76,7 @@ class OptimalStructureResult:
     predicted_size: int | None  # distance prediction, when the game is symmetric
 
 
-def optimal_structure(cf: CharacteristicFunction, cap: int | None = None) -> OptimalStructureResult:
+def optimal_structure(cf: CharacteristicFunction) -> OptimalStructureResult:
     """Exhaustive search for the structure maximizing total block worth.
 
     Totals are summed exactly, as integers over one power-of-two
@@ -93,13 +87,13 @@ def optimal_structure(cf: CharacteristicFunction, cap: int | None = None) -> Opt
     comparison.
     """
     m = cf.m
-    _check_cap(m, cap)
+    prefixes = _rgs_prefixes(m)  # checks m before the 2^m worths are read
     numerators, den = dyadic(cf.entries[mask] for mask in range(1, 1 << m))
     worth = [0] + numerators  # worth[mask] * den, exact; the empty block is worth 0
     last = 1 << (m - 1)
     alone = worth[last]
     best_total = -sum(map(abs, numerators)) - 1  # below every structure's total
-    for labels, masks, nb in _rgs_prefixes(m):
+    for labels, masks, nb in prefixes:
         total = sum([worth[mask] for mask in masks])
         for j, mask in enumerate(masks[:nb]):
             joined = total - worth[mask] + worth[mask | last]
@@ -149,8 +143,7 @@ def _relative_gap(a: float, b: float) -> float:
     return abs(a - b) / scale
 
 
-def oracle_suite(m: int, trials: int = 1000, seed: int = 0,
-                 cap: int | None = None) -> VerificationReport:
+def oracle_suite(m: int, trials: int = 1000, seed: int = 0) -> VerificationReport:
     """Run the full enumeration-vs-closed-form check for one m.
 
     Compares enumerated block counts against the closed forms, and the
@@ -159,13 +152,13 @@ def oracle_suite(m: int, trials: int = 1000, seed: int = 0,
     reads the enumerated multiplicities, so once count_matches and
     multiplicity_matches hold, both averages round the same exact ratio and
     averages_match cannot fail: the trials only confirm that regrouping.
-    Counts and trials read one cached walk, taken after the trials and cap checks.
+    Counts and trials read one cached walk. After the trials check, its walker
+    refuses m past errors.MAX_ENUMERATION_M (12), a bound that no argument moves.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     if trials > MAX_SAMPLES:
         raise TooManySamples(f"{trials} trials exceed the bound of {MAX_SAMPLES}")
-    _check_cap(m, cap)
     enumerated = _cached_stats(m)  # the one walk: counts and trials read it
     bell = build_bell_table(m)
     closed = partition_stats(m, bell)

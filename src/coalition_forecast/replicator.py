@@ -204,7 +204,7 @@ def rest_point_check(state: ReplicatorState, worth: SymmetricWorth, mode: Mode,
     rate beyond the float range is None, and an extinct strategy's rate is
     0.0, whatever its deviation.
     """
-    if tolerance <= 0:
+    if not tolerance > 0:  # a NaN tolerance fails this too
         raise ValueError("tolerance must be positive")
     if state.m != worth.m:
         raise ValueError(f"state has m={state.m} but worth has m={worth.m}")

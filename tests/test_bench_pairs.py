@@ -96,3 +96,32 @@ def test_tail_at_one_percentile_is_comparable():
 
 def test_pairs_argument_defaults_to_one_pair():
     assert bench_pairs.parse_pairs(["forecast=3", "referee"]) == {"forecast": 3, "referee": 1}
+
+
+def test_parse_tier1_reads_the_summary_line():
+    passing = "....................................... [100%]\n427 passed in 17.83s\n"
+    assert bench_pairs.parse_tier1(passing) == {"passed": 427, "failed": 0}
+    failing = ("..F.E [100%]\n=== short test summary info ===\nFAILED tests/test_x.py::test_a\n"
+               "2 failed, 425 passed, 1 warning, 1 error in 18.01s\n")
+    assert bench_pairs.parse_tier1(failing) == {"passed": 425, "failed": 3}  # errors count
+    assert bench_pairs.parse_tier1("3 errors in 0.52s\n") == {"passed": 0, "failed": 3}
+
+
+def test_parse_tier1_without_a_summary_gives_none():
+    assert bench_pairs.parse_tier1("") is None
+    assert bench_pairs.parse_tier1("ERROR: usage: pytest [options]\n") is None
+
+
+def test_tier1_summary_keeps_medians_of_wall_time_and_counts():
+    def tier1_run(wall_s, passed, failed=0):
+        return {"failed": failed, "metrics": {"wall_s": wall_s, "passed": passed,
+                                              "failed": failed}}
+    pairs = [{"seed": 41 + i, "first": "base" if i % 2 == 0 else "change",
+              "base": tier1_run(14.0 + i, 420), "change": tier1_run(13.0 + i, 427, int(i == 2))}
+             for i in range(3)]
+    metrics = bench_pairs.summarize(pairs, bench_pairs.TIER1_BETTER)["metrics"]
+    assert metrics["wall_s"]["base"]["median"] == 15.0
+    assert metrics["wall_s"]["change"]["median"] == 14.0
+    assert metrics["wall_s"]["change_won"] == "3 of 3"
+    assert metrics["passed"]["change"]["median"] == 427
+    assert metrics["failed"]["change"]["median"] == 0 and metrics["failed"]["change_won"] == "0 of 3"

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coalition_forecast
-from coalition_forecast import cli, worth
+from coalition_forecast import cli, combinatorics, oracle, worth
+from coalition_forecast.errors import EnumerationTooLarge
 from coalition_forecast.oracle import VerificationReport
 from partition_reference import rgs
 
@@ -421,17 +422,11 @@ class TestEnumerate:
         assert code == 4 and out == ""
         assert json.loads(err)["message"] == "enumeration too large: m=5000 exceeds the cap m=12"
 
-    def test_cap_override(self, capsys):
-        code, _, err = run(capsys, "enumerate", "--m", "4", "--cap", "3")
-        assert code == 4
-
-    @pytest.mark.parametrize("argv", [["enumerate", "--m", "3", "--cap", "-1"],
-                                      ["enumerate", "--m", "3", "--cap", "0"],
-                                      ["verify", "--m", "3", "--cap", "-1"]])
-    def test_cap_below_one_exits_2(self, capsys, argv):
-        code, out, err = run(capsys, *argv)
+    @pytest.mark.parametrize("command", ["enumerate", "verify"])
+    def test_cap_option_is_gone(self, capsys, command):
+        code, out, err = run(capsys, command, "--m", "3", "--cap", "12")
         assert code == 2 and out == ""
-        assert "must be a positive integer" in json.loads(err)["message"]
+        assert "unrecognized arguments: --cap 12" in json.loads(err)["message"]
 
     def test_cap_ignores_the_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("COALITION_FORECAST_ENUM_CAP", "3")
@@ -487,6 +482,43 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--m", "3")
         assert code == 5
         assert json.loads(out)["passed"] is False
+
+
+_REFUSING_ENTRIES = {  # every enumerating entry point, as a call on m alone
+    "enumerate_partitions": combinatorics.enumerate_partitions,
+    "brute_force_average": lambda m: oracle.brute_force_average(
+        worth.SymmetricWorth(m=m, by_size=(0.0,) * m)),
+    "brute_force_multiplicities": oracle.brute_force_multiplicities,
+    "optimal_structure": lambda m: oracle.optimal_structure(
+        worth.CharacteristicFunction(m=m, entries=dict.fromkeys(range(1, 1 << m), 0.0))),
+    "oracle_suite": lambda m: oracle.oracle_suite(m, trials=1),
+    "enumerate": "enumerate",
+    "verify": "verify",
+}
+
+
+@pytest.mark.parametrize("entry, m", [
+    *((entry, 13) for entry in _REFUSING_ENTRIES),
+    # a worth vector or coalition table of 10^9 outsiders cannot be built
+    *((entry, 10 ** 9) for entry in _REFUSING_ENTRIES
+      if entry not in ("brute_force_average", "optimal_structure")),
+])
+def test_every_enumerating_entry_refuses_m_past_the_bound_before_any_walk(
+        capsys, monkeypatch, entry, m):
+    def walk(m):
+        raise AssertionError(f"walked at m={m}")
+
+    monkeypatch.setattr(combinatorics, "_walk", walk)
+    call = _REFUSING_ENTRIES[entry]
+    if isinstance(call, str):
+        code, out, err = run(capsys, call, "--m", str(m))
+        assert code == 4 and out == ""
+        message = json.loads(err)["message"]
+    else:
+        with pytest.raises(EnumerationTooLarge) as refused:
+            call(m)
+        message = str(refused.value)
+    assert message == f"enumeration too large: m={m} exceeds the cap m=12"
 
 
 @pytest.mark.parametrize("argv, keys", [
@@ -688,8 +720,6 @@ def cli_calls(draw):
         return [command, "--m", str(draw(st.integers(-2, 9)))], None
     if command in ("enumerate", "verify"):
         argv = [command, "--m", str(draw(st.integers(-2, 8) | st.integers(13, 5000)))]
-        argv += pick([], ["--cap", "-1"], ["--cap", "0"], ["--cap", "3"], ["--cap", "12"],
-                     ["--cap", "x"])
         if command == "verify":
             argv += ["--trials", pick("1", "3", "0"), "--seed", str(draw(st.integers(-3, 3)))]
         return argv, None

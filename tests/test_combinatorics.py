@@ -189,11 +189,6 @@ class TestEnumeratePartitions:
                                                       "the cap m=12$"):
             enumerate_partitions(13)
 
-    def test_cap_override(self):
-        with pytest.raises(EnumerationTooLarge, match="m=5 exceeds the cap m=4"):
-            enumerate_partitions(5, cap=4)
-        assert sum(1 for _ in enumerate_partitions(5, cap=5)) == 52
-
 
 def brute_force_counts(m):
     """Oracle: count size-k blocks and element-0 block sizes by enumeration."""

@@ -67,14 +67,6 @@ class TestBruteForceAverage:
         worth = SymmetricWorth(m=13, by_size=(0.0,) * 13)
         with pytest.raises(EnumerationTooLarge):
             brute_force_average(worth)
-        with pytest.raises(EnumerationTooLarge):
-            brute_force_average(SymmetricWorth(m=5, by_size=(0.0,) * 5), cap=4)
-
-    def test_cap_argument_admits_its_m(self):
-        oracle._cached_stats.cache_clear()  # make the call below run its scan
-        worth = SymmetricWorth(m=5, by_size=(1.0, 0.0, 0.0, 0.0, 0.0))
-        # a fixed agent is a singleton in B_4 = 15 of the B_5 = 52 structures
-        assert brute_force_average(worth, cap=5) == 15 / 52
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_matches_closed_form_on_random_vectors(self, m):
@@ -203,18 +195,6 @@ class TestOracleSuite:
         oracle._cached_stats.cache_clear()  # a fresh walk, not one an earlier test left
         assert oracle_suite(5, trials=3, seed=0).passed
         assert walks == [5]
-
-    def test_checks_the_cap_once(self, monkeypatch):
-        checks = []
-        check = oracle._check_cap
-
-        def counted(m, cap):
-            checks.append(m)
-            check(m, cap)
-
-        monkeypatch.setattr(oracle, "_check_cap", counted)
-        assert oracle_suite(5, trials=3, seed=0).passed
-        assert checks == [5]  # not once more per trial
 
     def test_trials_bounded_before_any_work(self, monkeypatch):
         monkeypatch.setattr(oracle, "_rgs_prefixes", None)  # any walk would fail

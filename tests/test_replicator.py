@@ -494,6 +494,7 @@ class TestRestPointCheck:
 
     def test_tolerance_must_be_positive(self):
         state = ReplicatorState(time=0.0, frequencies=(1.0,))
-        with pytest.raises(ValueError):
-            rest_point_check(state, SymmetricWorth(m=1, by_size=(1.0,)),
-                             Mode.PAPER_CONSTANT_AVERAGE, BELL, 0.0)
+        for tolerance in (0.0, -1.0, math.nan):  # NaN compares false both ways
+            with pytest.raises(ValueError, match="^tolerance must be positive$"):
+                rest_point_check(state, SymmetricWorth(m=1, by_size=(1.0,)),
+                                 Mode.PAPER_CONSTANT_AVERAGE, BELL, tolerance)

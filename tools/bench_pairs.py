@@ -18,7 +18,15 @@ PYTHONDONTWRITEBYTECODE (when it is 1, each cold CLI process compiles the
 package source again). Each run also keeps its request count and the percentile
 that its latency_tail_ms reports, as run.py's summary line states them: the
 benchmark takes a lower percentile from fewer requests, so two runs' tails are
-comparable only at the same percentile. Standard library only.
+comparable only at the same percentile.
+
+The pseudo-workload tier1 (`--pairs tier1=3`) runs the Tier-1 verify command
+
+    PYTHONPATH=src python -m pytest -q --continue-on-collection-errors
+
+in the same alternating pairs instead, and keeps each run's wall time and the
+passed and failed counts of pytest's summary line; errors count as failed.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -33,10 +41,13 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 SIDES = ("base", "change")
 WIN_SHARE = 0.9  # a gain needs the change to win 9 of 10 pairs run, ties counting for neither
+TIER1_COMMAND = "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors"
+TIER1_BETTER = {"wall_s": "lower", "passed": "higher", "failed": "lower"}
 
 
 def git(cwd: Path, *args: str) -> str:
@@ -65,6 +76,34 @@ def parse_run(stdout: str) -> dict:
             "requests": facts.get("requests"),
             "latency_tail_percentile": facts.get("latency_tail_percentile"),
             "metrics": {name: entry["value"] for name, entry in last["metrics"].items()}}
+
+
+def run_tier1(root: Path) -> dict:
+    """One Tier-1 run in root: its wall time and parse_tier1 of its output."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": "src" + (os.pathsep + path if path else "")}
+    argv = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    start = time.perf_counter()
+    proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
+    wall_s = time.perf_counter() - start
+    counts = parse_tier1(proc.stdout)
+    if counts is None:
+        return {"error": f"exit {proc.returncode}: {(proc.stdout + proc.stderr).strip()[-500:]}"}
+    return {"failed": counts["failed"], "metrics": {"wall_s": wall_s, **counts}}
+
+
+def parse_tier1(stdout: str) -> dict | None:
+    """Passed and failed (errors included) from pytest's summary, its last line; None without one.
+
+    `pytest -q` ends with a line such as `2 failed, 425 passed, 1 error in 17.83s`.
+    """
+    lines = stdout.strip().splitlines()
+    counts = {word: int(n) for n, word in re.findall(r"\b(\d+) (passed|failed|error)s?\b",
+                                                     lines[-1] if lines else "")}
+    if not counts:
+        return None
+    return {"passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0) + counts.get("error", 0)}
 
 
 def spread(values: list[float]) -> dict:
@@ -132,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--base", default="HEAD", help="revision to compare against")
     parser.add_argument("--pairs", nargs="+", default=["forecast=3", "dynamics=1",
                                                        "referee=1", "cli-cold=1"],
-                        help="WORKLOAD=PAIRS, one per workload")
+                        help="WORKLOAD=PAIRS, one per workload; tier1=PAIRS times the Tier-1 suite")
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--first-seed", type=int, default=41)
     args = parser.parse_args(argv)
@@ -143,6 +182,7 @@ def main(argv: list[str] | None = None) -> int:
     better = {entry["name"]: entry["better"] for entry in catalogue["end_to_end"]}
     record = {
         "command": "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0",
+        "tier1_command": TIER1_COMMAND,
         "seconds": args.seconds,
         "base": {"revision": args.base, "commit": base_commit},
         "change": {"head": git(change, "rev-parse", "HEAD"),
@@ -169,11 +209,13 @@ def main(argv: list[str] | None = None) -> int:
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = run_once(roots[side], workload, seed, args.seconds)
+                    pair[side] = (run_tier1(roots[side]) if workload == "tier1" else
+                                  run_once(roots[side], workload, seed, args.seconds))
                     print(json.dumps({"workload": workload, "seed": seed, "side": side,
                                       **pair[side]}), file=sys.stderr)
                 pairs.append(pair)
-            record["workloads"][workload] = {"pairs": pairs, **summarize(pairs, better)}
+            rules = TIER1_BETTER if workload == "tier1" else better
+            record["workloads"][workload] = {"pairs": pairs, **summarize(pairs, rules)}
     finally:
         shutil.rmtree(scratch)
     out = change / f"BENCH_{args.pr}.json"
