@@ -63,7 +63,7 @@ def _bell_table(m: int) -> BellTable:
 
 def _cmd_predict(args: argparse.Namespace) -> tuple[int, list[dict]]:
     worth = _load_game(args.game, args.tolerance)
-    return EXIT_OK, [vars(cf.predictor.predict(worth, _bell_table(worth.m)))]
+    return EXIT_OK, [cf.predictor.predict(worth, _bell_table(worth.m))._asdict()]
 
 
 def _cmd_planes(args: argparse.Namespace) -> tuple[int, list[dict]]:
@@ -107,12 +107,13 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[int, Iterator[str]]:
 
 
 def _cmd_stats(args: argparse.Namespace) -> tuple[int, list[dict]]:
-    return EXIT_OK, [vars(cf.combinatorics.partition_stats(args.m, _bell_table(args.m)))]
+    return EXIT_OK, [cf.combinatorics.partition_stats(args.m, _bell_table(args.m))._asdict()]
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, list[dict]]:
     report = cf.oracle.oracle_suite(args.m, trials=args.trials, seed=args.seed)
-    return (EXIT_OK if report.passed else EXIT_ORACLE), [{**vars(report), "passed": report.passed}]
+    return (EXIT_OK if report.passed else EXIT_ORACLE), [{**report._asdict(),
+                                                          "passed": report.passed}]
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -8,30 +8,38 @@ enumeration is feasible.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import MAX_CLOSED_FORM_M, MAX_ENUMERATION_M, ClosedFormTooLarge, EnumerationTooLarge
 
 
-@dataclass(frozen=True)
 class BellTable:
     """Bell numbers B_0..B_max_index, exact.
 
-    values[i] is the number of partitions of an i-element set.
+    values[i], and so table[i], is the number of partitions of an i-element set.
     """
 
-    max_index: int
-    values: tuple[int, ...]
+    __slots__ = ("max_index", "values")  # set once; a tuple's indexing would clash with table[i]
 
-    def __post_init__(self) -> None:
-        if self.max_index < 0:
+    def __init__(self, max_index: int, values: tuple[int, ...]) -> None:
+        if max_index < 0:
             raise ValueError("max_index must be non-negative")
-        if len(self.values) != self.max_index + 1:
+        if len(values) != max_index + 1:
             raise ValueError("values length must be max_index + 1")
-        if self.values[0] != 1 or (self.max_index >= 1 and self.values[1] != 1):
+        if values[0] != 1 or (max_index >= 1 and values[1] != 1):
             raise ValueError("Bell numbers must start 1, 1")
+        object.__setattr__(self, "max_index", max_index)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"BellTable is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__, not through __setattr__
+        return BellTable, (self.max_index, self.values)
 
     def __getitem__(self, i: int) -> int:
         return self.values[i]
@@ -61,8 +69,7 @@ def build_bell_table(max_index: int) -> BellTable:
     return BellTable(max_index=max_index, values=values[:max_index + 1])
 
 
-@dataclass(frozen=True)
-class SetPartition:
+class SetPartition(namedtuple("SetPartition", "labels")):
     """One partition of {0,..,m-1} in canonical restricted-growth form.
 
     labels[i] is the block index of element i, so m is len(labels);
@@ -71,7 +78,7 @@ class SetPartition:
     canonical by construction.
     """
 
-    labels: tuple[int, ...]
+    __slots__ = ()
 
 
 def _rgs_prefixes(m: int) -> Iterator[tuple[list[int], list[int], int]]:
@@ -145,8 +152,7 @@ def enumerate_partitions(m: int) -> Iterator[SetPartition]:
     return generate()
 
 
-@dataclass(frozen=True)
-class PartitionStats:
+class PartitionStats(namedtuple("PartitionStats", "m multiplicity choice_counts")):
     """Exact occurrence counts over all B_m partitions of m elements.
 
     multiplicity[k-1] counts size-k blocks across every partition;
@@ -154,9 +160,7 @@ class PartitionStats:
     in a size-k block.
     """
 
-    m: int
-    multiplicity: tuple[int, ...]
-    choice_counts: tuple[int, ...]
+    __slots__ = ()
 
 
 def block_multiplicities(m: int, bell: BellTable) -> tuple[int, ...]:

@@ -35,7 +35,7 @@ class IntegrationError(RuntimeError):
 MAX_ENUMERATION_M = 12  # B_12 = 4 213 597 structures, and B_13 is 6.6 times as many
 MAX_SAMPLES = 1_000_000
 # m x recorded states, t = 0 included; m <= 10 keeps every sample count. Peak (tracemalloc)
-# and time at it, x86-64: 322 MB, 2.7 s at m = 1 500; ~550 MB, 4.2 s at m = 10 (10x 10^5 run).
+# and time at it, x86-64: 322 MB, 2.7 s at m = 1 500; ~464 MB, 4.2 s at m = 10 (10x 10^5 run).
 MAX_STATE_VALUES = 10 * (MAX_SAMPLES + 1)
 MAX_CLOSED_FORM_M = 1500  # B_1500 has 3 108 digits, below CPython's 4 300-digit str() limit
 MAX_PLANES_M = 200  # planes prints m^2 exact entries: 18.7 MB at m = 200, 166 MB at m = 400

@@ -9,7 +9,7 @@ prediction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .combinatorics import (PartitionStats, SetPartition, _rgs_prefixes, build_bell_table,
@@ -67,13 +67,12 @@ def _mean_worth(worth: SymmetricWorth, stats: PartitionStats) -> float:
     return total / (den * worth.m * sum(stats.choice_counts))  # int / int rounds correctly
 
 
-@dataclass(frozen=True)
-class OptimalStructureResult:
-    """Best coalition structure found by exhaustive scan."""
+class OptimalStructureResult(namedtuple("OptimalStructureResult",
+                                        "partition total_worth predicted_size")):
+    """Best coalition structure found by exhaustive scan; total_worth is None beyond the float
+    range, and predicted_size, the distance prediction, is None for an asymmetric game."""
 
-    partition: SetPartition
-    total_worth: float | None  # None when the exact total lies beyond the float range
-    predicted_size: int | None  # distance prediction, when the game is symmetric
+    __slots__ = ()
 
 
 def optimal_structure(cf: CharacteristicFunction) -> OptimalStructureResult:
@@ -115,20 +114,12 @@ def optimal_structure(cf: CharacteristicFunction) -> OptimalStructureResult:
     )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(namedtuple("VerificationReport", "m trials seed partitions_enumerated "
+                                    "bell_value count_matches multiplicity_matches "
+                                    "choice_counts_match max_average_rel_err averages_match")):
     """Outcome of the oracle suite for one m."""
 
-    m: int
-    trials: int
-    seed: int
-    partitions_enumerated: int
-    bell_value: int
-    count_matches: bool
-    multiplicity_matches: bool
-    choice_counts_match: bool
-    max_average_rel_err: float
-    averages_match: bool
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -21,7 +21,7 @@ norms, are kept per process (`_geometry`), so a call pays only for its worths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .combinatorics import BellTable, block_multiplicities
@@ -72,8 +72,8 @@ def average_worth(worth: SymmetricWorth, bell: BellTable) -> float:
     return total / (unit * den)
 
 
-@dataclass(frozen=True)
-class HyperplaneSystem:
+class HyperplaneSystem(namedtuple("HyperplaneSystem",
+                                  "m integer_rows row_denominators row_norms degenerate")):
     """The m equilibrium hyperplanes in worth space.
 
     Row k, the form v -> v(k)/k - (average worth of v), is the integers
@@ -83,11 +83,7 @@ class HyperplaneSystem:
     flagged degenerate (row norm 0).
     """
 
-    m: int
-    integer_rows: tuple[tuple[int, ...], ...]
-    row_denominators: tuple[int, ...]
-    row_norms: tuple[float, ...]
-    degenerate: bool
+    __slots__ = ()
 
     @property
     def coefficients(self) -> tuple[tuple[float, ...], ...]:
@@ -153,24 +149,17 @@ def distances(point: SymmetricWorth, system: HyperplaneSystem) -> tuple[float, .
     return _in_float_range("distances", zip(map(abs, values), system.row_norms))
 
 
-@dataclass(frozen=True)
-class PredictionReport:
+class PredictionReport(namedtuple("PredictionReport", "m average_worth residuals distances "
+                                  "argmin_set chosen_size degenerate notes")):
     """Outcome of the min-distance prediction for one worth vector.
 
     distances and residuals are indexed by coalition size (k ascending);
     an entry whose value lies beyond the float range is None, and a note
-    names its sizes. argmin_set collects the sizes at exactly the minimum
-    distance; chosen_size is its smallest element.
+    names its sizes. argmin_set is the frozenset of sizes at exactly the
+    minimum distance; chosen_size is its smallest element.
     """
 
-    m: int
-    average_worth: float
-    residuals: tuple[float | None, ...]
-    distances: tuple[float | None, ...]
-    argmin_set: frozenset[int]
-    chosen_size: int
-    degenerate: bool
-    notes: tuple[str, ...]
+    __slots__ = ()
 
 
 def predict(point: SymmetricWorth, bell: BellTable) -> PredictionReport:

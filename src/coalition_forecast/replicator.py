@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .combinatorics import BellTable, partition_stats
 from .errors import MAX_SAMPLES, MAX_STATE_VALUES, IntegrationError, TooManySamples
@@ -32,28 +32,27 @@ DEFAULT_STEP_SIZE = 0.01
 _FLOAT_MAX = sys.float_info.max
 
 
-@dataclass(frozen=True)
-class ReplicatorState:
+class ReplicatorState(namedtuple("ReplicatorState", "time frequencies")):
     """Frequencies of the m size choices at one instant."""
 
-    time: float
-    frequencies: tuple[float, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs __new__'s checks
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.time <= _FLOAT_MAX:
+    def __new__(cls, time: float, frequencies: tuple[float, ...]) -> ReplicatorState:
+        if not 0.0 <= time <= _FLOAT_MAX:
             raise ValueError("time must be finite and non-negative")
-        if not self.frequencies:
+        if not frequencies:
             raise ValueError("frequencies must be non-empty")
-        if not all(0.0 <= x <= _FLOAT_MAX for x in self.frequencies):
+        if not all(0.0 <= x <= _FLOAT_MAX for x in frequencies):
             raise ValueError("frequencies must be finite and non-negative")
+        return super().__new__(cls, time, frequencies)
 
     @property
     def m(self) -> int:
         return len(self.frequencies)
 
 
-@dataclass(frozen=True)
-class DynamicsConfig:
+class DynamicsConfig(namedtuple("DynamicsConfig", "mode step_size horizon record_every")):
     """Which average to use, and when to sample the solution.
 
     step_size is the sampling interval: a run records t=0, then
@@ -61,26 +60,30 @@ class DynamicsConfig:
     round(horizon / step_size).
     """
 
-    mode: Mode = Mode.PAPER_CONSTANT_AVERAGE
-    step_size: float = DEFAULT_STEP_SIZE
-    horizon: float = 10.0
-    record_every: int = 1
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs __new__'s checks
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.step_size <= _FLOAT_MAX:
+    def __new__(cls, mode: Mode = Mode.PAPER_CONSTANT_AVERAGE,
+                step_size: float = DEFAULT_STEP_SIZE, horizon: float = 10.0,
+                record_every: int = 1) -> DynamicsConfig:
+        if not 0.0 < step_size <= _FLOAT_MAX:
             raise ValueError("step_size must be positive and finite")
-        if not self.step_size < self.horizon <= _FLOAT_MAX:
+        if not step_size < horizon <= _FLOAT_MAX:
             raise ValueError("horizon must be finite and exceed step_size")
-        if type(self.record_every) is not int or self.record_every < 1:  # a bool is not int
+        if type(record_every) is not int or record_every < 1:  # a bool is not int
             raise ValueError(f"record_every must be an integer of at least 1, "
-                             f"got {self.record_every!r}")
+                             f"got {record_every!r}")
+        return super().__new__(cls, mode, step_size, horizon, record_every)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    states: tuple[ReplicatorState, ...]
-    clamp_events: int
-    max_simplex_drift: float
+class Trajectory(namedtuple("Trajectory", "states clamp_events max_simplex_drift")):
+    """The states one `integrate` run records, t = 0 first, and their largest |sum(x) - 1|.
+
+    clamp_events is always 0, as the exact solution clamps nothing. It stays
+    only because the benchmark (perfbench/inprocess.py) reads it.
+    """
+
+    __slots__ = ()
 
     @property
     def terminal(self) -> ReplicatorState:
@@ -105,14 +108,6 @@ def uniform_frequencies(m: int) -> ReplicatorState:
     return ReplicatorState(time=0.0, frequencies=(1.0 / m,) * m)
 
 
-def _unchecked_state(time: float, frequencies: tuple[float, ...]) -> ReplicatorState:
-    """A ReplicatorState built without __post_init__, for values already checked."""
-    state = object.__new__(ReplicatorState)
-    fields = state.__dict__
-    fields["time"], fields["frequencies"] = time, frequencies
-    return state
-
-
 def _total(x) -> float:
     """math.fsum(x), or inf where its partial sums pass the float maximum."""
     try:
@@ -129,11 +124,12 @@ def integrate(start: ReplicatorState, worth: SymmetricWorth,
     mode; in weighted mode s is the top payoff of a surviving strategy and
     x(t) is normalized, the softmax of log x_k(0) + p_k t, whose exponents
     are never positive. A paper-mode state beyond the float range raises
-    IntegrationError. Each sample is checked once, as it is computed, so
-    the returned states are not checked again. Extinct strategies stay
-    exactly 0, clamp_events is 0, and max_simplex_drift is the largest
-    |sum(x) - 1| over the states. rest_point_check(trajectory.terminal, ...)
-    reports the terminal payoff deviations.
+    IntegrationError. Each sample is checked once, as it is computed, and
+    built with tuple.__new__, which skips ReplicatorState's checks: the one
+    unchecked construction in the package. Extinct strategies stay exactly
+    0, clamp_events is 0, and max_simplex_drift is the largest |sum(x) - 1|
+    over the states. rest_point_check(trajectory.terminal, ...) reports the
+    terminal payoff deviations.
     """
     if start.m != worth.m:
         raise ValueError(f"start has m={start.m} but worth has m={worth.m}")
@@ -163,7 +159,7 @@ def integrate(start: ReplicatorState, worth: SymmetricWorth,
     # rate 0 for an extinct strategy: 0 * exp(0) stays 0 whatever its payoff
     rates = [p - shift if x > 0.0 else 0.0 for x, p in zip(x0, payoffs)]
 
-    states = [_unchecked_state(0.0, x0)]  # start checked x0 when it was built
+    states = [tuple.__new__(ReplicatorState, (0.0, x0))]  # start checked x0 when built
     drift = abs(_total(x0) - 1.0)
     # every record_every-th step, then n_steps: min() turns the range's last into it
     for step in range(every, n_steps + every, every):
@@ -184,16 +180,16 @@ def integrate(start: ReplicatorState, worth: SymmetricWorth,
             raise IntegrationError(f"non-finite frequencies at t={t:g}: the growth "
                                    f"exp((p_k - v~) t) leaves the float range")
         drift = max(drift, abs(total - 1.0))
-        states.append(_unchecked_state(t, tuple(x)))
+        states.append(tuple.__new__(ReplicatorState, (t, tuple(x))))
     return Trajectory(states=tuple(states), clamp_events=0, max_simplex_drift=drift)
 
 
-@dataclass(frozen=True)
-class RestPointReport:
-    is_rest_point: bool
-    statuses: tuple[str, ...]  # per strategy: extinct | equilibrated | active
-    growth_rates: tuple[float | None, ...]  # None: beyond the float range
-    payoff_deviations: tuple[float | None, ...]
+class RestPointReport(namedtuple("RestPointReport",
+                                 "is_rest_point statuses growth_rates payoff_deviations")):
+    """Whether a state is a rest point, and per strategy its status (extinct, equilibrated
+    or active), growth rate and payoff deviation, None beyond the float range."""
+
+    __slots__ = ()
 
 
 def rest_point_check(state: ReplicatorState, worth: SymmetricWorth, mode: Mode,

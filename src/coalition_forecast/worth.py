@@ -9,8 +9,8 @@ polices) that collapse. `game_worth` reads the whole game-file schema.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Collection, Iterable, Mapping
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import SymmetryViolation
@@ -32,47 +32,49 @@ def _check_coalition_count(m: int, count: int) -> None:
                          f"coalition worths, got {count}")
 
 
-@dataclass(frozen=True)
-class CharacteristicFunction:
+class CharacteristicFunction(namedtuple("CharacteristicFunction", "m entries")):
     """Worth of every non-empty subset of the m outsiders.
 
     entries maps subset bitmasks (bit i set = outsider i present) to
     finite real worths, one entry per non-empty subset.
     """
 
-    m: int
-    entries: Mapping[int, float]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs __new__'s checks
 
-    def __post_init__(self) -> None:
-        _check_coalition_count(self.m, len(self.entries))
-        expected = (1 << self.m) - 1  # safe: a count of 2^m - 1 entries exists
-        for mask, value in self.entries.items():
+    def __new__(cls, m: int, entries: Mapping[int, float]) -> CharacteristicFunction:
+        _check_coalition_count(m, len(entries))
+        expected = (1 << m) - 1  # safe: a count of 2^m - 1 entries exists
+        for mask, value in entries.items():
             if not 1 <= mask <= expected:
-                raise ValueError(f"invalid coalition bitmask {mask} for m={self.m}")
+                raise ValueError(f"invalid coalition bitmask {mask} for m={m}")
             if not math.isfinite(value):
                 raise ValueError(f"worth of coalition {mask_to_members(mask)} is not finite")
+        return super().__new__(cls, m, entries)
 
 
-@dataclass(frozen=True)
-class SymmetricWorth:
+class SymmetricWorth(namedtuple("SymmetricWorth", "m by_size")):
     """Per-size worths (v(1),..,v(m)) of outsider coalitions."""
 
-    m: int
-    by_size: tuple[float, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs __new__'s checks
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
+    def __new__(cls, m: int, by_size: tuple[float, ...]) -> SymmetricWorth:
+        if m < 1:
             raise ValueError("m must be positive")
-        if len(self.by_size) != self.m:
+        if len(by_size) != m:
             raise ValueError("by_size must have one worth per coalition size 1..m")
-        for k, value in enumerate(self.by_size, start=1):
+        for k, value in enumerate(by_size, start=1):
             if not math.isfinite(value):
                 raise ValueError(f"v({k}) is not finite")
+        return super().__new__(cls, m, by_size)
 
 
 def _agree(a: float, b: float, tolerance: float) -> bool:
-    # relative for large magnitudes, absolute floor of `tolerance` near zero
-    return abs(a - b) <= tolerance * max(1.0, abs(a), abs(b))
+    # relative for large magnitudes, absolute floor near zero; exact on the floats, as products
+    # round. |a - b| <= 2 max(|a|, |b|): past 2, as at inf (no integer ratio), every gap agrees
+    (na, nb, nt, one), den = dyadic((a, b, float(min(tolerance, 2.0)), 1.0))
+    return abs(na - nb) * den <= nt * max(one, abs(na), abs(nb))
 
 
 def check_tolerance(tolerance: float) -> None:

@@ -1,10 +1,12 @@
 """CLI subcommands, JSON I/O, and exit codes."""
 
 import contextlib
+import copy
 import importlib
 import io
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -217,6 +219,19 @@ class TestPredict:
         payload = json.loads(err)
         assert payload["error"] == 3
         assert "symmetry" in payload["message"]
+
+    def test_symmetry_gap_over_the_exact_bound_exits_3(self, capsys, tmp_path):
+        # the gap is exact, and the float product 0.3 * 3.736744210543126 rounds up to it,
+        # so the float rule passed a pair whose exact gap is over the bound
+        game = {"m": 2, "coalitions": [
+            {"members": [0], "worth": -3.736744210543126},
+            {"members": [1], "worth": -2.615720947380188}, {"members": [0, 1], "worth": 1.0},
+        ]}
+        path = tmp_path / "boundary.json"
+        path.write_text(json.dumps(game))
+        code, out, err = run(capsys, "predict", str(path), "--tolerance", "0.3")
+        assert code == 3 and out == ""
+        assert json.loads(err)["message"].startswith("symmetry violation")
 
 
 class TestGameInput:
@@ -596,6 +611,7 @@ def test_each_command_loads_only_the_modules_it_runs(game_file, argv, modules):
                        "coalition_forecast.errors"} | {f"coalition_forecast.{m}" for m in modules}
     assert ("fractions" in loaded) == (argv[0] == "planes")  # only exact_rows needs Fraction
     assert "typing" not in loaded
+    assert "dataclasses" not in loaded and "inspect" not in loaded  # records are namedtuples
 
 
 def test_console_script_target_runs():
@@ -642,6 +658,47 @@ def test_errors_keep_their_import_paths(module, name):
     from coalition_forecast import errors
     home = importlib.import_module(f"coalition_forecast.{module}")
     assert getattr(home, name) is getattr(errors, name)
+
+
+def _record_cases():
+    """One record of each type; for the four built from caller input, a field and a bad value."""
+    cf = coalition_forecast
+    bell = cf.build_bell_table(3)
+    worth = cf.SymmetricWorth(m=3, by_size=(0.0, 1.0, 1.0))
+    game = cf.CharacteristicFunction(m=1, entries={1: 2.0})
+    start = cf.initial_frequencies(3, bell)
+    config = cf.DynamicsConfig(horizon=0.1)
+    trajectory = cf.integrate(start, worth, config, bell)
+    cases = [
+        (worth, "by_size", (0.0, float("nan"), 1.0)), (game, "entries", {2: 2.0}),
+        (start, "time", -1.0), (config, "step_size", -1.0),
+        (bell, None, None), (next(cf.enumerate_partitions(3)), None, None),
+        (cf.partition_stats(3, bell), None, None), (cf.hyperplane_system(3, bell), None, None),
+        (cf.predict(worth, bell), None, None), (trajectory, None, None),
+        (cf.rest_point_check(trajectory.terminal, worth, config.mode, bell, 1e-9), None, None),
+        (cf.optimal_structure(game), None, None), (cf.oracle_suite(3, trials=1), None, None),
+    ]
+    return [pytest.param(*case, id=type(case[0]).__name__) for case in cases]
+
+
+@pytest.mark.parametrize("record, field, bad", _record_cases())
+def test_records_keep_their_checks_and_refuse_change(record, field, bad):
+    if field is not None:  # _replace builds through the constructor's checks
+        with pytest.raises(ValueError) as built:
+            type(record)(**{**record._asdict(), field: bad})
+        with pytest.raises(ValueError, match=f"^{re.escape(str(built.value))}$"):
+            record._replace(**{field: bad})
+    for name in (*getattr(record, "_fields", ("max_index", "values")), "unlisted"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
+@pytest.mark.parametrize("record, field, bad", _record_cases())
+def test_records_survive_pickle_and_copy(record, field, bad):
+    fields = getattr(record, "_fields", ("max_index", "values"))  # BellTable is not a tuple
+    for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(clone) is type(record)
+        assert [getattr(clone, f) for f in fields] == [getattr(record, f) for f in fields]
 
 
 def test_submodule_resolves_as_attribute(monkeypatch):

@@ -5,13 +5,14 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from coalition_forecast.worth import (
     CharacteristicFunction,
     SymmetricWorth,
     SymmetryViolation,
+    _agree,
     characteristic_from_coalitions,
     float_or_none,
     game_worth,
@@ -140,6 +141,32 @@ class TestReduceToSymmetric:
     def test_idempotent_on_symmetric_games(self, by_size):
         worth = SymmetricWorth(m=len(by_size), by_size=tuple(by_size))
         assert reduce_to_symmetric(expand_to_characteristic(worth)).by_size == worth.by_size
+
+
+@st.composite
+def agreement_cases(draw):
+    """(a, b, tolerance) with b a few ulps from where the float rule puts the bound, or anywhere."""
+    a = draw(st.floats(-1e300, 1e300))
+    tolerance = draw(st.floats(0.0, 3.0) | st.fractions(0, 3) | st.just(math.inf))
+    if draw(st.booleans()):
+        return a, draw(st.floats(allow_nan=False, allow_infinity=False)), tolerance
+    b = a - math.copysign(float(tolerance) * max(1.0, abs(a)), a) if tolerance <= 3 else a
+    ulps = draw(st.integers(-3, 3))
+    for _ in range(abs(ulps)):
+        b = math.nextafter(b, math.copysign(math.inf, ulps))
+    return a, b, tolerance
+
+
+class TestAgree:
+    @given(agreement_cases())
+    # the float product 0.3 * 3.736744210543126 rounds up to this pair's exact gap
+    @example((-3.736744210543126, -2.615720947380188, 0.3))
+    def test_is_the_rule_in_exact_rationals(self, case):
+        a, b, tolerance = case
+        exact = tolerance == math.inf or (  # a tolerance counts as its float, as a worth does
+            abs(Fraction(a) - Fraction(b))
+            <= Fraction(float(tolerance)) * max(1, abs(Fraction(a)), abs(Fraction(b))))
+        assert _agree(a, b, tolerance) == _agree(b, a, tolerance) == exact
 
 
 class TestPerCapita:
