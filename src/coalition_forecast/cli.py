@@ -93,15 +93,17 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[int, Iterator[dict]]:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> tuple[int, Iterator[str]]:
-    """One record per restricted-growth prefix: its nb + 1 completions, one per line."""
-    prefixes = cf.combinatorics._rgs_prefixes(args.m)  # checks m before heads grow with it
+    """One record per prefix of all but the last two labels: its completions, one per line."""
+    trailing = 2 if args.m > 2 else 1
+    prefixes = cf.combinatorics._rgs_prefixes(args.m, trailing)  # checks m before heads grow
     heads = [f"{label} " for label in range(args.m)]
-    lasts = [str(label) for label in range(args.m)]
+    tails = [[" ".join(map(str, tail)) for tail in cf.combinatorics._tails(nb, trailing)]
+             for nb in range(args.m)]  # formatted once per block count
 
     def lines() -> Iterator[str]:
         for labels, _, nb in prefixes:
-            head = "".join([heads[label] for label in labels])  # empty at m = 1
-            yield head + ("\n" + head).join(lasts[:nb + 1])
+            head = "".join([heads[label] for label in labels])  # empty at m <= 2
+            yield head + ("\n" + head).join(tails[nb])
 
     return EXIT_OK, lines()
 

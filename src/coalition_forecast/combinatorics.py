@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import accumulate
+from functools import lru_cache, partial
+from itertools import accumulate, chain
 
 from .errors import MAX_CLOSED_FORM_M, MAX_ENUMERATION_M, ClosedFormTooLarge, EnumerationTooLarge
 
@@ -81,17 +82,17 @@ class SetPartition(namedtuple("SetPartition", "labels")):
     __slots__ = ()
 
 
-def _rgs_prefixes(m: int) -> Iterator[tuple[list[int], list[int], int]]:
-    """_walk(m), once m is checked: the one owner of the enumeration bound.
+def _rgs_prefixes(m: int, trailing: int) -> Iterator[tuple[list[int], list[int], int]]:
+    """_walk(m - trailing + 1), once m is checked: the one owner of the enumeration bound.
 
-    It raises before any work that grows with m, so callers obtain the walker first.
+    It checks m, not the shorter walk, before any work that grows with m: callers obtain it first.
     """
     if m < 1:
         raise ValueError("m must be positive")
     if m > MAX_ENUMERATION_M:
         raise EnumerationTooLarge(f"enumeration too large: m={m} exceeds "
                                   f"the cap m={MAX_ENUMERATION_M}")
-    return _walk(m)
+    return _walk(m - trailing + 1)
 
 
 def _walk(m: int) -> Iterator[tuple[list[int], list[int], int]]:
@@ -102,9 +103,8 @@ def _walk(m: int) -> Iterator[tuple[list[int], list[int], int]]:
     is element i's block and masks[b] the bitmask of block b (zero past the
     nb blocks in use), so block b has masks[b].bit_count() elements. Only
     the trailing labels change between prefixes, and masks follow them, so
-    a step costs amortised O(1). The partitions of {0,..,m-1} extending a
-    prefix are its nb + 1 completions, in lexicographic order: element m-1
-    joins block j for j = 0..nb-1, or starts block nb. The same two lists
+    a step costs amortised O(1). A prefix extends to the partitions of t more
+    elements by its _tails(nb, t), in lexicographic order. The same two lists
     are yielded every time; callers must copy what they keep.
     """
     n = m - 1
@@ -134,22 +134,26 @@ def _walk(m: int) -> Iterator[tuple[list[int], list[int], int]]:
         nb = top + 1
 
 
+@lru_cache(maxsize=None)
+def _tails(nb: int, trailing: int) -> tuple[tuple[int, ...], ...]:
+    """The labels of `trailing` more elements after a prefix with nb blocks, lexicographic."""
+    if not trailing:
+        return ((),)
+    return tuple((j, *tail) for j in range(nb + 1)
+                 for tail in _tails(max(nb, j + 1), trailing - 1))
+
+
 def enumerate_partitions(m: int) -> Iterator[SetPartition]:
     """All partitions of {0,..,m-1}, lexicographic in restricted-growth form.
 
-    Yields exactly B_m canonical partitions, deterministically. Raises
-    EnumerationTooLarge up front when m exceeds errors.MAX_ENUMERATION_M
-    (12), a fixed bound that no argument moves.
+    Yields exactly B_m canonical partitions, deterministically: each prefix joined
+    with each of its tails. Raises EnumerationTooLarge up front when m exceeds
+    errors.MAX_ENUMERATION_M (12), a fixed bound that no argument moves.
     """
-    prefixes = _rgs_prefixes(m)
-
-    def generate() -> Iterator[SetPartition]:
-        for labels, _, nb in prefixes:
-            prefix = tuple(labels)
-            for last in range(nb + 1):
-                yield SetPartition(labels=prefix + (last,))
-
-    return generate()
+    trailing = 2 if m > 2 else 1
+    prefixes = _rgs_prefixes(m, trailing)
+    return map(partial(tuple.__new__, SetPartition), zip(chain.from_iterable(
+        map(tuple(labels).__add__, _tails(nb, trailing)) for labels, _, nb in prefixes)))
 
 
 class PartitionStats(namedtuple("PartitionStats", "m multiplicity choice_counts")):

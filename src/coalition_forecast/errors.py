@@ -17,10 +17,11 @@ class SymmetryViolation(ValueError):
         self.worth_a = worth_a
         self.coalition_b = coalition_b
         self.worth_b = worth_b
-        self.gap = abs(worth_a - worth_b)
+        gap = abs(worth_a - worth_b)  # correctly rounded, so inf only past the float range
+        self.gap = None if gap == float("inf") else gap
         super().__init__(
-            f"symmetry violation: v({set(coalition_a)}) = {worth_a} but "
-            f"v({set(coalition_b)}) = {worth_b} (gap {self.gap})"
+            f"symmetry violation: v({set(coalition_a)}) = {worth_a} but v({set(coalition_b)}) = "
+            f"{worth_b} (gap {'beyond the float range' if self.gap is None else gap})"
         )
 
 

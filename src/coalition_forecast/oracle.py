@@ -22,28 +22,36 @@ from .worth import (CharacteristicFunction, SymmetricWorth, SymmetryViolation, d
 def brute_force_multiplicities(m: int) -> PartitionStats:
     """Block-size and fixed-agent counts recomputed by raw enumeration, one prefix at a time.
 
-    A prefix with block sizes s_j = masks[j].bit_count() has nb + 1
-    completions: the one where the last element joins block j has s_j + 1
-    in place of s_j, and the last one adds a singleton. So every s_j
-    appears in nb of them and s_j + 1 in one. Element 0 sits in block 0.
+    The walk covers all but the last t outsiders, t = 2 (t = 1 at m <= 2, so that outsider 0,
+    in block 0, is in the prefix). Let a prefix have n blocks, one of size s. For t = 1, the
+    last outsider joins a block or starts one: n + 1 completions, s + 1 in one of them, and
+    one singleton in each. For t = 2, a and b go both to prefix blocks (n^2 ways), a to one and
+    b alone (n), or a alone and b to a, to a prefix block or alone (n + 2): n^2 + 2n + 2. The
+    block is s + 2 if both join it (1) and s + 1 if one does while the other joins another
+    block or none (2(n - 1) + 2 = 2n), so s in n^2 + 1. One outsider alone and the other in a
+    prefix block adds a singleton (2n ways), both alone add two, and b joining a alone adds a
+    pair: 2n + 2 singletons and one pair. Block 0 follows the same counts; at m = 1 it is the
+    empty masks[0], which the one outsider grows to size 1.
     """
-    prefixes = _rgs_prefixes(m)  # checks m before the count lists grow with it
-    multiplicity = [0] * (m + 1)
-    choice_counts = [0] * (m + 1)
+    trailing = 2 if m > 2 else 1
+    prefixes = _rgs_prefixes(m, trailing)  # checks m before the count lists grow with it
+    coefficients = [(n * n + 1, 2 * n, 1, 2 * n + 2, 1) if trailing == 2 else (n, 1, 0, 1, 0)
+                    for n in range(m)]  # stays, grows by 1, by 2; singletons, pairs
+    multiplicity, choice_counts = [0] * (m + 2), [0] * (m + 2)
     for _, masks, nb in prefixes:
+        stay, grow, grow_twice, singletons, pairs = coefficients[nb]
         for mask in masks[:nb]:
             size = mask.bit_count()
-            multiplicity[size] += nb
-            multiplicity[size + 1] += 1
-        multiplicity[1] += 1
+            multiplicity[size] += stay
+            multiplicity[size + 1] += grow
+            multiplicity[size + 2] += grow_twice
+        multiplicity[1] += singletons
+        multiplicity[2] += pairs
         first = masks[0].bit_count()
-        choice_counts[first] += nb
-        choice_counts[first + 1] += 1
-    return PartitionStats(
-        m=m,
-        multiplicity=tuple(multiplicity[1:]),
-        choice_counts=tuple(choice_counts[1:]),
-    )
+        choice_counts[first] += stay
+        choice_counts[first + 1] += grow
+        choice_counts[first + 2] += grow_twice
+    return PartitionStats(m, tuple(multiplicity[1:m + 1]), tuple(choice_counts[1:m + 1]))
 
 
 _cached_stats = lru_cache(maxsize=None)(brute_force_multiplicities)
@@ -86,7 +94,7 @@ def optimal_structure(cf: CharacteristicFunction) -> OptimalStructureResult:
     comparison.
     """
     m = cf.m
-    prefixes = _rgs_prefixes(m)  # checks m before the 2^m worths are read
+    prefixes = _rgs_prefixes(m, 1)  # checks m before the 2^m worths are read
     numerators, den = dyadic(cf.entries[mask] for mask in range(1, 1 << m))
     worth = [0] + numerators  # worth[mask] * den, exact; the empty block is worth 0
     last = 1 << (m - 1)
@@ -102,16 +110,12 @@ def optimal_structure(cf: CharacteristicFunction) -> OptimalStructureResult:
             best_total, best_labels = total + alone, (*labels, nb)
 
     try:
-        symmetric = reduce_to_symmetric(cf)
-        bell = build_bell_table(m)
-        predicted = predict(symmetric, bell).chosen_size
+        predicted = predict(reduce_to_symmetric(cf), build_bell_table(m)).chosen_size
     except SymmetryViolation:
         predicted = None
-    return OptimalStructureResult(
-        partition=SetPartition(labels=best_labels),
-        total_worth=float_or_none(best_total, den),
-        predicted_size=predicted,
-    )
+    return OptimalStructureResult(partition=SetPartition(labels=best_labels),
+                                  total_worth=float_or_none(best_total, den),
+                                  predicted_size=predicted)
 
 
 class VerificationReport(namedtuple("VerificationReport", "m trials seed partitions_enumerated "
@@ -125,13 +129,6 @@ class VerificationReport(namedtuple("VerificationReport", "m trials seed partiti
     def passed(self) -> bool:
         return (self.count_matches and self.multiplicity_matches
                 and self.choice_counts_match and self.averages_match)
-
-
-def _relative_gap(a: float, b: float) -> float:
-    scale = max(abs(a), abs(b))
-    if scale == 0.0:
-        return 0.0
-    return abs(a - b) / scale
 
 
 def oracle_suite(m: int, trials: int = 1000, seed: int = 0) -> VerificationReport:
@@ -159,18 +156,14 @@ def oracle_suite(m: int, trials: int = 1000, seed: int = 0) -> VerificationRepor
     worst = 0.0
     for _ in range(trials):
         w = SymmetricWorth(m=m, by_size=tuple(rng.uniform(-1.0, 1.0) for _ in range(m)))
-        gap = _relative_gap(_mean_worth(w, enumerated), average_worth(w, bell))
-        worst = max(worst, gap)
+        a, b = _mean_worth(w, enumerated), average_worth(w, bell)
+        scale = max(abs(a), abs(b))
+        worst = max(worst, abs(a - b) / scale if scale else 0.0)
 
     return VerificationReport(
-        m=m,
-        trials=trials,
-        seed=seed,
-        partitions_enumerated=n_partitions,
-        bell_value=bell[m],
+        m=m, trials=trials, seed=seed, partitions_enumerated=n_partitions, bell_value=bell[m],
         count_matches=(n_partitions == bell[m]),
         multiplicity_matches=(enumerated.multiplicity == closed.multiplicity),
         choice_counts_match=(enumerated.choice_counts == closed.choice_counts),
-        max_average_rel_err=worst,
-        averages_match=(worst == 0.0),
+        max_average_rel_err=worst, averages_match=(worst == 0.0),
     )

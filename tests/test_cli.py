@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import hashlib
 import importlib
 import io
 import json
@@ -233,6 +234,21 @@ class TestPredict:
         assert code == 3 and out == ""
         assert json.loads(err)["message"].startswith("symmetry violation")
 
+    def test_symmetry_gap_beyond_the_float_range_exits_3(self, capsys, tmp_path):
+        # the exact gap, 3.4e308, is past the float maximum: the message names no inf
+        game = {"m": 2, "coalitions": [
+            {"members": [0], "worth": 1.7e308}, {"members": [1], "worth": -1.7e308},
+            {"members": [0, 1], "worth": 1.0},
+        ]}
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(game))
+        code, out, err = run(capsys, "predict", str(path))
+        assert code == 3 and out == ""
+        message = json.loads(err)["message"]
+        assert "inf" not in message
+        assert message.startswith("symmetry violation")
+        assert message.endswith("(gap beyond the float range)")
+
 
 class TestGameInput:
     def test_m_and_ns_consistent(self):
@@ -422,6 +438,26 @@ class TestEnumerate:
         code, out, err = run(capsys, "enumerate", "--m", str(m))
         assert code == 0 and err == ""
         assert out == "".join(" ".join(map(str, labels)) + "\n" for labels in rgs(m))
+
+    # sha256 of the stdout of `enumerate --m m`, pinned past the reference comparisons above
+    STDOUT_SHA256 = {
+        1: "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+        2: "5e98722db3069229cffda6286921f5b525d68038fa14d9f90f91ac9a8d639d1e",
+        3: "a6821d05e38615adfe1dc4f2e0cfec5efcfdb6753b666990a4ca4018cad962c2",
+        4: "99778f2b01d4d4c72f4d96936098ff9101d4cbee0e53f95eecb81fe55daa0800",
+        5: "d2e6f7866aeb497ce6ec2b7b3bfd5221a492da5d5827e1d201de9bcf3859c7ee",
+        6: "9d9ac7515e2d97f98e6deefc1d60104666ad37b2f6492a85f08c970e4b465e7a",
+        7: "2acd36c08bca9c689912b2fc591864c1ec6dd1cad0a15be1ed79ba6dac0cb530",
+        8: "5e32d0b49ac2413af9fd509833005548df06666a68247f9c41836702e61b77f3",
+        9: "12d7afcc321cf623012f327bf15d2fae97cb90ffccc5400c01670ad5f7429516",
+        10: "80286a148e0e010437c20b49bc81e14b83d1b9e50f6ee1413abc7c2800fc6ae4",
+    }
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_stdout_sha256_is_pinned(self, capsys, m):
+        code, out, err = run(capsys, "enumerate", "--m", str(m))
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == self.STDOUT_SHA256[m]
 
     def test_cap_exceeded(self, capsys):
         code, _, err = run(capsys, "enumerate", "--m", "13")

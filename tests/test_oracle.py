@@ -1,14 +1,16 @@
 """Brute-force enumeration oracle vs the closed forms it referees."""
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from coalition_forecast import oracle
+from coalition_forecast import combinatorics, oracle
 from coalition_forecast.combinatorics import (
     EnumerationTooLarge,
+    SetPartition,
     build_bell_table,
     enumerate_partitions,
     partition_stats,
@@ -100,9 +102,24 @@ class TestBruteForceMultiplicities:
         assert brute_force_multiplicities(m) == partition_stats(m, build_bell_table(m))
 
     @pytest.mark.parametrize("m", range(1, 10))
-    def test_equals_reference_scan(self, m):
+    def test_equals_reference_scan(self, monkeypatch, m):
+        # the scans are walked prefixes times locally counted completions: every closed-form
+        # source raises, so no Bell number or binomial can enter them
+        def closed_form(*args):
+            raise AssertionError("a scan used a closed form")
+
+        monkeypatch.setattr(math, "comb", closed_form)
+        for module in (combinatorics, oracle):
+            for name in ("block_multiplicities", "partition_stats", "build_bell_table"):
+                monkeypatch.setattr(module, name, closed_form, raising=False)
+        combinatorics._tails.cache_clear()  # rebuilt under the patch
+        with pytest.raises(AssertionError, match="closed form"):
+            oracle_suite(m, trials=1)  # the patch is in force where the referee looks
         stats = brute_force_multiplicities(m)
         assert (stats.multiplicity, stats.choice_counts) == reference_multiplicities(m)
+        partitions = list(enumerate_partitions(m))
+        assert [p.labels for p in partitions] == list(rgs(m))
+        assert {type(p) for p in partitions} == {SetPartition}
 
 
 class TestOptimalStructure:
@@ -187,9 +204,9 @@ class TestOracleSuite:
         walks = []
         walker = oracle._rgs_prefixes
 
-        def counted(m):
+        def counted(m, trailing):
             walks.append(m)
-            return walker(m)
+            return walker(m, trailing)
 
         monkeypatch.setattr(oracle, "_rgs_prefixes", counted)
         oracle._cached_stats.cache_clear()  # a fresh walk, not one an earlier test left

@@ -119,6 +119,12 @@ class TestReduceToSymmetric:
         assert {err.coalition_a, err.coalition_b} == {(0,), (1,)}
         assert "gap" in str(err)
 
+    def test_gap_beyond_the_float_range_is_none(self):
+        cf = CharacteristicFunction(m=2, entries={1: 1.7e308, 2: -1.7e308, 3: 1.0})
+        with pytest.raises(SymmetryViolation, match=r"\(gap beyond the float range\)$") as excinfo:
+            reduce_to_symmetric(cf)
+        assert excinfo.value.gap is None
+
     def test_within_tolerance_takes_mean(self):
         cf = CharacteristicFunction(m=2, entries={1: 1.0, 2: 1.0 + 1e-12, 3: 4.0})
         worth = reduce_to_symmetric(cf)
