@@ -16,7 +16,6 @@ from importlib import import_module
 
 # public name -> the submodule that defines it; __all__ keeps this order
 _HOMES = {
-    "BellTable": "combinatorics",
     "CharacteristicFunction": "worth",
     "DynamicsConfig": "replicator",
     "EnumerationTooLarge": "errors",

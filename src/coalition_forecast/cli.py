@@ -56,7 +56,7 @@ def _load_game(path: str, tolerance: float | None) -> SymmetricWorth:
     return cf.worth.game_worth(obj, tolerance)
 
 
-def _bell_table(m: int) -> BellTable:
+def _bell_table(m: int) -> tuple[int, ...]:
     """B_0..B_m for a closed form at m; at m < 1, B_0 alone, and the closed form refuses m."""
     return cf.combinatorics.build_bell_table(max(m, 0))
 
@@ -94,8 +94,7 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[int, Iterator[dict]]:
 
 def _cmd_enumerate(args: argparse.Namespace) -> tuple[int, Iterator[str]]:
     """One record per prefix of all but the last two labels: its completions, one per line."""
-    trailing = 2 if args.m > 2 else 1
-    prefixes = cf.combinatorics._rgs_prefixes(args.m, trailing)  # checks m before heads grow
+    trailing, prefixes = cf.combinatorics._rgs_prefixes(args.m)  # checks m before heads grow
     heads = [f"{label} " for label in range(args.m)]
     tails = [[" ".join(map(str, tail)) for tail in cf.combinatorics._tails(nb, trailing)]
              for nb in range(args.m)]  # formatted once per block count

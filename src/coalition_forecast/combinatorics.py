@@ -16,47 +16,19 @@ from itertools import accumulate, chain
 from .errors import MAX_CLOSED_FORM_M, MAX_ENUMERATION_M, ClosedFormTooLarge, EnumerationTooLarge
 
 
-class BellTable:
-    """Bell numbers B_0..B_max_index, exact.
-
-    values[i], and so table[i], is the number of partitions of an i-element set.
-    """
-
-    __slots__ = ("max_index", "values")  # set once; a tuple's indexing would clash with table[i]
-
-    def __init__(self, max_index: int, values: tuple[int, ...]) -> None:
-        if max_index < 0:
-            raise ValueError("max_index must be non-negative")
-        if len(values) != max_index + 1:
-            raise ValueError("values length must be max_index + 1")
-        if values[0] != 1 or (max_index >= 1 and values[1] != 1):
-            raise ValueError("Bell numbers must start 1, 1")
-        object.__setattr__(self, "max_index", max_index)
-        object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name: str, value=None) -> None:
-        raise AttributeError(f"BellTable is immutable: cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):  # pickle and copy rebuild through __init__, not through __setattr__
-        return BellTable, (self.max_index, self.values)
-
-    def __getitem__(self, i: int) -> int:
-        return self.values[i]
-
-
 _bell = ((1,), [1])  # B_0..B_M and the triangle's last row, for the largest M built so far
 
 
-def build_bell_table(max_index: int) -> BellTable:
-    """Bell numbers via the Bell triangle, kept for the largest index asked so far.
+def build_bell_table(max_index: int) -> tuple[int, ...]:
+    """The tuple (B_0, ..., B_max_index) from the Bell triangle, kept for the largest index yet.
 
     Each row of the triangle starts with the last entry of the previous row
     and accumulates partial sums; the row head is the next Bell number. Past
     MAX_CLOSED_FORM_M it raises ClosedFormTooLarge before building any row.
     """
     global _bell
+    if max_index < 0:
+        raise ValueError("max_index must be non-negative")
     if max_index > MAX_CLOSED_FORM_M:
         raise ClosedFormTooLarge(f"closed form too large: m={max_index} exceeds "
                                  f"the bound m={MAX_CLOSED_FORM_M}")
@@ -67,7 +39,7 @@ def build_bell_table(max_index: int) -> BellTable:
             row = list(accumulate(row, initial=row[-1]))
             values.append(row[0])
         _bell = values, row = tuple(values), row
-    return BellTable(max_index=max_index, values=values[:max_index + 1])
+    return values[:max_index + 1]
 
 
 class SetPartition(namedtuple("SetPartition", "labels")):
@@ -82,8 +54,8 @@ class SetPartition(namedtuple("SetPartition", "labels")):
     __slots__ = ()
 
 
-def _rgs_prefixes(m: int, trailing: int) -> Iterator[tuple[list[int], list[int], int]]:
-    """_walk(m - trailing + 1), once m is checked: the one owner of the enumeration bound.
+def _rgs_prefixes(m: int, most: int = 2) -> tuple[int, Iterator]:
+    """(t, _walk(m - t + 1)), t = max(1, min(most, m - 1)) trailing: the enumeration bound's owner.
 
     It checks m, not the shorter walk, before any work that grows with m: callers obtain it first.
     """
@@ -92,7 +64,8 @@ def _rgs_prefixes(m: int, trailing: int) -> Iterator[tuple[list[int], list[int],
     if m > MAX_ENUMERATION_M:
         raise EnumerationTooLarge(f"enumeration too large: m={m} exceeds "
                                   f"the cap m={MAX_ENUMERATION_M}")
-    return _walk(m - trailing + 1)
+    trailing = max(1, min(most, m - 1))
+    return trailing, _walk(m - trailing + 1)
 
 
 def _walk(m: int) -> Iterator[tuple[list[int], list[int], int]]:
@@ -150,8 +123,7 @@ def enumerate_partitions(m: int) -> Iterator[SetPartition]:
     with each of its tails. Raises EnumerationTooLarge up front when m exceeds
     errors.MAX_ENUMERATION_M (12), a fixed bound that no argument moves.
     """
-    trailing = 2 if m > 2 else 1
-    prefixes = _rgs_prefixes(m, trailing)
+    trailing, prefixes = _rgs_prefixes(m)
     return map(partial(tuple.__new__, SetPartition), zip(chain.from_iterable(
         map(tuple(labels).__add__, _tails(nb, trailing)) for labels, _, nb in prefixes)))
 
@@ -167,21 +139,23 @@ class PartitionStats(namedtuple("PartitionStats", "m multiplicity choice_counts"
     __slots__ = ()
 
 
-def block_multiplicities(m: int, bell: BellTable) -> tuple[int, ...]:
+def block_multiplicities(m: int, bell: tuple[int, ...]) -> tuple[int, ...]:
     """How often a size-k block occurs over all B_m partitions, k = 1..m.
 
     A size-k block can be chosen C(m,k) ways and the remaining m-k elements
     partition freely: C(m,k)*B_{m-k}, no enumeration involved. Every closed
-    form reads its counts from here.
+    form reads its counts from bell, B_0..B_m or more, here.
     """
     if m < 1:
         raise ValueError("m must be positive")
-    if bell.max_index < m:
-        raise ValueError(f"Bell table covers indices up to {bell.max_index}, need {m}")
+    if len(bell) <= m:
+        raise ValueError(f"Bell table covers indices up to {len(bell) - 1}, need {m}")
+    if bell[0] != 1 or bell[1] != 1:
+        raise ValueError("Bell numbers must start 1, 1")
     return tuple(math.comb(m, k) * bell[m - k] for k in range(1, m + 1))
 
 
-def partition_stats(m: int, bell: BellTable) -> PartitionStats:
+def partition_stats(m: int, bell: tuple[int, ...]) -> PartitionStats:
     """Closed-form block counts: no enumeration involved.
 
     Fixing one element cuts the C(m,k) choices of a size-k block to

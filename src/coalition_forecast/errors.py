@@ -24,6 +24,9 @@ class SymmetryViolation(ValueError):
             f"{worth_b} (gap {'beyond the float range' if self.gap is None else gap})"
         )
 
+    def __reduce__(self):  # pickle and copy rebuild through __init__, not from the message
+        return type(self), (self.coalition_a, self.worth_a, self.coalition_b, self.worth_b)
+
 
 class EnumerationTooLarge(ValueError):
     """m beyond MAX_ENUMERATION_M, refused by the walker before it visits any partition."""

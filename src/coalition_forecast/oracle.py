@@ -33,8 +33,7 @@ def brute_force_multiplicities(m: int) -> PartitionStats:
     pair: 2n + 2 singletons and one pair. Block 0 follows the same counts; at m = 1 it is the
     empty masks[0], which the one outsider grows to size 1.
     """
-    trailing = 2 if m > 2 else 1
-    prefixes = _rgs_prefixes(m, trailing)  # checks m before the count lists grow with it
+    trailing, prefixes = _rgs_prefixes(m)  # checks m before the count lists grow with it
     coefficients = [(n * n + 1, 2 * n, 1, 2 * n + 2, 1) if trailing == 2 else (n, 1, 0, 1, 0)
                     for n in range(m)]  # stays, grows by 1, by 2; singletons, pairs
     multiplicity, choice_counts = [0] * (m + 2), [0] * (m + 2)
@@ -94,7 +93,7 @@ def optimal_structure(cf: CharacteristicFunction) -> OptimalStructureResult:
     comparison.
     """
     m = cf.m
-    prefixes = _rgs_prefixes(m, 1)  # checks m before the 2^m worths are read
+    _, prefixes = _rgs_prefixes(m, most=1)  # checks m before the 2^m worths are read
     numerators, den = dyadic(cf.entries[mask] for mask in range(1, 1 << m))
     worth = [0] + numerators  # worth[mask] * den, exact; the empty block is worth 0
     last = 1 << (m - 1)

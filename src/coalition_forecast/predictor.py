@@ -24,7 +24,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from .combinatorics import BellTable, block_multiplicities
+from .combinatorics import block_multiplicities
 from .errors import MAX_PLANES_M, ClosedFormTooLarge
 from .worth import SymmetricWorth, dyadic, float_or_none
 
@@ -37,10 +37,10 @@ GEOMETRY_ENTRIES = 16
 def _geometry(m: int, bell: tuple[int, ...]) -> tuple:
     """w_j = C(m,j) B_{m-j}, D = m B_m, and `predict`'s Q_k, log2 Q_k and row norms.
 
-    All depend on m and B_0..B_m alone, the key (a tuple, whatever the table holds); a
-    short table raises, and a raise caches nothing. At m = 1, Q_1 = 0 has no log2.
+    All depend on m and B_0..B_m alone, the key, which `block_multiplicities` reads and
+    checks; a short table raises, and a raise caches nothing. At m = 1, Q_1 = 0 has no log2.
     """
-    weights = block_multiplicities(m, BellTable(len(bell) - 1, bell))
+    weights = block_multiplicities(m, bell)
     unit = m * bell[m]
     w_sq = sum(w * w for w in weights)
     norms_sq = tuple(unit * unit - 2 * k * unit * w + k * k * w_sq
@@ -49,21 +49,21 @@ def _geometry(m: int, bell: tuple[int, ...]) -> tuple:
             tuple(math.sqrt(q / (k * unit) ** 2) for k, q in enumerate(norms_sq, start=1)))
 
 
-def _exact_average(worth: SymmetricWorth, bell: BellTable) -> tuple:
+def _exact_average(worth: SymmetricWorth, bell: tuple[int, ...]) -> tuple:
     """The `_geometry` of worth.m, den, S and the residuals.
 
     With the worths n_j / den (`dyadic`), the average is S / (D den) for
     S = sum_j n_j w_j, and residual k is R_k / (k D den), R_k = n_k D - k S;
     the residuals come as a generator of (R_k, k D den).
     """
-    geometry = weights, unit, *_ = _geometry(worth.m, tuple(bell.values[:worth.m + 1]))
+    geometry = weights, unit, *_ = _geometry(worth.m, tuple(bell[:worth.m + 1]))
     numerators, den = dyadic(worth.by_size)
     total = sum(n * w for n, w in zip(numerators, weights))
     return geometry, den, total, ((n * unit - k * total, k * unit * den)
                                   for k, n in enumerate(numerators, start=1))
 
 
-def average_worth(worth: SymmetricWorth, bell: BellTable) -> float:
+def average_worth(worth: SymmetricWorth, bell: tuple[int, ...]) -> float:
     """Population-average per-agent worth under uniform structure formation.
 
     An exact weighted mean of finite worths, so it is finite: divided once.
@@ -98,7 +98,7 @@ class HyperplaneSystem(namedtuple("HyperplaneSystem",
                      for row, d in zip(self.integer_rows, self.row_denominators))
 
 
-def hyperplane_system(m: int, bell: BellTable) -> HyperplaneSystem:
+def hyperplane_system(m: int, bell: tuple[int, ...]) -> HyperplaneSystem:
     """Coefficient matrix of the per-size equilibrium conditions, for m <= MAX_PLANES_M."""
     weights = block_multiplicities(m, bell)
     if m > MAX_PLANES_M:
@@ -162,7 +162,7 @@ class PredictionReport(namedtuple("PredictionReport", "m average_worth residuals
     __slots__ = ()
 
 
-def predict(point: SymmetricWorth, bell: BellTable) -> PredictionReport:
+def predict(point: SymmetricWorth, bell: tuple[int, ...]) -> PredictionReport:
     """Predict the coalition size a representative outsider joins.
 
     The worth vector is treated as a point in m-space; the predicted size

@@ -17,7 +17,7 @@ import math
 import sys
 from collections import namedtuple
 
-from .combinatorics import BellTable, partition_stats
+from .combinatorics import partition_stats
 from .errors import MAX_SAMPLES, MAX_STATE_VALUES, IntegrationError, TooManySamples
 from .predictor import average_worth
 from .worth import SymmetricWorth, dyadic, float_or_none, per_capita_vector
@@ -90,7 +90,7 @@ class Trajectory(namedtuple("Trajectory", "states clamp_events max_simplex_drift
         return self.states[-1]
 
 
-def initial_frequencies(m: int, bell: BellTable) -> ReplicatorState:
+def initial_frequencies(m: int, bell: tuple[int, ...]) -> ReplicatorState:
     """Uniform distribution over raw structures, pushed forward to sizes.
 
     A fixed agent lands in a size-k coalition in C(m-1,k-1)*B_{m-k} of the
@@ -117,7 +117,7 @@ def _total(x) -> float:
 
 
 def integrate(start: ReplicatorState, worth: SymmetricWorth,
-              config: DynamicsConfig, bell: BellTable) -> Trajectory:
+              config: DynamicsConfig, bell: tuple[int, ...]) -> Trajectory:
     """The exact solution at t=0 and at the recorded times.
 
     x_k(t) = x_k(0) exp((p_k - s) t) with s the constant average in paper
@@ -193,7 +193,7 @@ class RestPointReport(namedtuple("RestPointReport",
 
 
 def rest_point_check(state: ReplicatorState, worth: SymmetricWorth, mode: Mode,
-                     bell: BellTable, tolerance: float) -> RestPointReport:
+                     bell: tuple[int, ...], tolerance: float) -> RestPointReport:
     """Is the state a rest point: every strategy extinct or at the average?
 
     growth_rates is the replicator field dx_k/dt = x_k * (p_k - average): a

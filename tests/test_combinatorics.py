@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from coalition_forecast import combinatorics
 from coalition_forecast.combinatorics import (
-    BellTable,
     ClosedFormTooLarge,
     EnumerationTooLarge,
+    block_multiplicities,
     build_bell_table,
     enumerate_partitions,
     partition_stats,
@@ -35,10 +35,11 @@ def pascal_triangle(rows):
 
 class TestBellTable:
     def test_small_values(self):
-        assert build_bell_table(3).values == (1, 1, 2, 5)
+        assert build_bell_table(3) == (1, 1, 2, 5)
+        assert type(build_bell_table(3)) is tuple
 
     def test_empty_set(self):
-        assert build_bell_table(0).values == (1,)
+        assert build_bell_table(0) == (1,)
 
     def test_b10_matches_enumeration_count(self):
         # B_10 frozen from the triangle recurrence; oracle = raw count
@@ -62,16 +63,15 @@ class TestBellTable:
             bell.append(sum(math.comb(n, k) * bell[k] for k in range(n + 1)))
         for max_index in (10, 80):
             table = build_bell_table(max_index)
-            assert table.max_index == max_index
-            assert table.values == tuple(bell[:max_index + 1])
+            assert table == tuple(bell[:max_index + 1])
 
     def test_concurrent_callers_never_see_half_a_table(self, monkeypatch):
-        reference = build_bell_table(240).values
+        reference = build_bell_table(240)
         wrong, threads = [], []
 
         def worker(seed):
             for max_index in random.Random(seed).choices(range(241), k=40):
-                if build_bell_table(max_index).values != reference[:max_index + 1]:
+                if build_bell_table(max_index) != reference[:max_index + 1]:
                     wrong.append(max_index)
 
         interval = sys.getswitchinterval()
@@ -100,12 +100,20 @@ class TestBellTable:
         assert combinatorics._bell is kept
 
     def test_rejects_inconsistent_lengths(self):
-        with pytest.raises(ValueError):
-            BellTable(max_index=2, values=(1, 1))
+        # the readers check a caller's table: block_multiplicities, and predict through it
+        message = r"^Bell table covers indices up to 1, need 2$"
+        with pytest.raises(ValueError, match=message):
+            block_multiplicities(2, (1, 1))
+        with pytest.raises(ValueError, match=message):
+            predict(SymmetricWorth(m=2, by_size=(1.0, 1.0)), (1, 1))
 
     def test_rejects_wrong_start(self):
-        with pytest.raises(ValueError, match="must start 1, 1"):
-            BellTable(max_index=1, values=(1, 2))
+        message = r"^Bell numbers must start 1, 1$"
+        for bell in ((1, 2), (2, 1, 2, 5)):
+            with pytest.raises(ValueError, match=message):
+                block_multiplicities(1, bell)
+        with pytest.raises(ValueError, match=message):
+            predict(SymmetricWorth(m=3, by_size=(0.0, 1.0, 1.0)), (1, 2, 2, 5))
 
 
 class TestBinomial:

@@ -204,9 +204,9 @@ class TestOracleSuite:
         walks = []
         walker = oracle._rgs_prefixes
 
-        def counted(m, trailing):
+        def counted(m, *args, **kwargs):
             walks.append(m)
-            return walker(m, trailing)
+            return walker(m, *args, **kwargs)
 
         monkeypatch.setattr(oracle, "_rgs_prefixes", counted)
         oracle._cached_stats.cache_clear()  # a fresh walk, not one an earlier test left

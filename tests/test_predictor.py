@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coalition_forecast.combinatorics import BellTable, build_bell_table
+from coalition_forecast.combinatorics import build_bell_table
 from coalition_forecast.errors import ClosedFormTooLarge
 from coalition_forecast.predictor import (
     _geometry,
@@ -399,9 +399,9 @@ class TestGeometryCache:
     def test_a_doctored_table_gets_its_own_answer(self, index):
         point = SymmetricWorth(m=5, by_size=(0.5, 1.0, 1.0, 2.0, 3.0))
         bell = build_bell_table(5)
-        values = list(bell.values)
+        values = list(bell)
         values[index] += 7  # B_index, which w_{5-index} or D reads
-        doctored = BellTable(max_index=5, values=tuple(values))
+        doctored = tuple(values)
         exact = sum(Fraction(v) * math.comb(5, j) * values[5 - j]
                     for j, v in enumerate(point.by_size, start=1)) / (5 * values[5])
         real = predict(point, bell)
@@ -412,7 +412,7 @@ class TestGeometryCache:
 
     def test_a_list_valued_table_still_predicts(self):
         bell = build_bell_table(6)
-        listed = BellTable(max_index=6, values=list(bell.values))
+        listed = list(bell)
         point = SymmetricWorth(m=6, by_size=(0.5, -1.0, 2.0, 0.0, 1.5, -0.25))
         assert predict(point, listed) == predict(point, bell)
         assert average_worth(point, listed) == average_worth(point, bell)

@@ -1,6 +1,8 @@
 """Characteristic functions and their reduction to per-size worths."""
 
+import copy
 import math
+import pickle
 import sys
 from fractions import Fraction
 
@@ -124,6 +126,15 @@ class TestReduceToSymmetric:
         with pytest.raises(SymmetryViolation, match=r"\(gap beyond the float range\)$") as excinfo:
             reduce_to_symmetric(cf)
         assert excinfo.value.gap is None
+
+    @pytest.mark.parametrize("worth_a, worth_b", [(0.0, 1.0), (1.7e308, -1.7e308)])
+    def test_violation_survives_pickle_and_copy(self, worth_a, worth_b):
+        err = SymmetryViolation((0,), worth_a, (1, 2), worth_b)
+        fields = ("coalition_a", "worth_a", "coalition_b", "worth_b", "gap", "args")
+        for clone in (pickle.loads(pickle.dumps(err)), copy.copy(err), copy.deepcopy(err)):
+            assert type(clone) is SymmetryViolation
+            assert [getattr(clone, f) for f in fields] == [getattr(err, f) for f in fields]
+            assert str(clone) == str(err)
 
     def test_within_tolerance_takes_mean(self):
         cf = CharacteristicFunction(m=2, entries={1: 1.0, 2: 1.0 + 1e-12, 3: 4.0})
